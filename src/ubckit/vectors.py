@@ -207,7 +207,8 @@ def beta_integral(i: int, r: int) -> Fraction:
         for j in range(i + 1, r + 1)
     )
     closed = Fraction((-1) ** (r - i - 1) * factorial(i) * factorial(r - i - 1), factorial(r))
-    assert value == closed, f"beta_integral({i}, {r}): {value} != {closed}"
+    if value != closed:
+        raise ArithmeticError(f"beta_integral({i}, {r}): {value} != {closed}")
     return value
 
 

@@ -1,0 +1,145 @@
+"""The sparse rank kernel against independent oracles and closed forms, and
+the arithmetic self-checks under ``python -O``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ubckit
+from oracles import brute_force_betti, rank_fraction
+from ubckit import (
+    betti_numbers,
+    build_complex,
+    cone,
+    cross_polytope,
+    gale_facets,
+    join,
+    matrix_rank,
+    projective_plane_6,
+    suspension,
+    torus_7,
+)
+
+ENTRIES = st.integers(-6, 6)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Shapes 0..12 x 0..12 with entries -6..6, some rows and columns forced
+    to zero."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    mat = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    for r in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows)):
+        mat[r] = [0] * cols
+    for c in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols)):
+        for row in mat:
+            row[c] = 0
+    return mat
+
+
+@st.composite
+def low_rank_products(draw):
+    """A (rows x k) times B (k x cols), so the rank is at most k."""
+    rows, k, cols = draw(st.integers(0, 12)), draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    a = [[draw(ENTRIES) for _ in range(k)] for _ in range(rows)]
+    b = [[draw(ENTRIES) for _ in range(cols)] for _ in range(k)]
+    return [[sum(a[r][i] * b[i][c] for i in range(k)) for c in range(cols)] for r in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_fraction_oracle(mat):
+    assert matrix_rank(mat) == rank_fraction(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_products())
+def test_rank_of_low_rank_products(mat):
+    assert matrix_rank(mat) == rank_fraction(mat)
+
+
+def test_rank_leaves_input_unchanged():
+    mat = [[2, 4, 0], [1, 3, 5], [0, 6, 2]]
+    copy = [list(row) for row in mat]
+    matrix_rank(mat)
+    assert mat == copy
+
+
+FACETS = st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=5).map(sorted), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FACETS)
+def test_betti_matches_brute_force(facets):
+    sc = build_complex(facets)
+    assert betti_numbers(sc).entries == brute_force_betti(sc.facets)
+
+
+@pytest.mark.parametrize("build", [cone, suspension], ids=["cone", "suspension"])
+def test_betti_with_z2_torsion(build):
+    # H_1(RP^2; Z) = Z/2: the boundary matrices have elementary divisor 2,
+    # which vanishes over Q.
+    sc = build(projective_plane_6())
+    assert betti_numbers(sc).entries == brute_force_betti(sc.facets)
+    assert all(b == 0 for b in betti_numbers(sc).entries)
+
+
+def _sphere_betti(d):
+    return (0,) * (d + 1) + (1,)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [cross_polytope(7), gale_facets(6, 14)],
+    ids=["cross-polytope-7", "cyclic-6-14"],
+)
+def test_large_spheres(sc):
+    assert betti_numbers(sc).entries == _sphere_betti(sc.dim)
+
+
+def test_join_of_tori():
+    # Reduced Kunneth for joins: H_{n+1}(A*B) = sum_{i+j=n} H_i(A) (x) H_j(B).
+    # The torus has b_1 = 2, b_2 = 1, so b_3 = 2*2, b_4 = 2*1 + 1*2, b_5 = 1.
+    sc = join(torus_7(), torus_7())
+    assert betti_numbers(sc).entries == (0, 0, 0, 0, 4, 4, 1)
+
+
+_SELF_CHECKS = """
+from math import factorial
+import ubckit.vectors
+from ubckit import SimplicialComplex, beta_integral, betti_numbers, boundary_simplex
+
+def expect_arithmetic_error(call):
+    try:
+        call()
+    except ArithmeticError as exc:
+        print("raised:", exc)
+    else:
+        raise SystemExit("no ArithmeticError")
+
+chi = SimplicialComplex.euler_characteristic
+SimplicialComplex.euler_characteristic = lambda self: chi(self) + 1
+expect_arithmetic_error(lambda: betti_numbers(boundary_simplex(3)))
+ubckit.vectors.factorial = lambda n: factorial(n) + 1
+expect_arithmetic_error(lambda: beta_integral(1, 4))
+"""
+
+
+def test_self_checks_survive_optimize():
+    src = str(Path(ubckit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _SELF_CHECKS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.count("raised:") == 2
