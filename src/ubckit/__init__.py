@@ -55,7 +55,6 @@ from .vectors import (
     ShortHVector,
     beta_integral,
     binomial,
-    even_manifold_reconstruction_coefficients,
     f_from_h,
     f_from_short_h,
     h_from_f,
@@ -109,7 +108,6 @@ __all__ = [
     "cross_polytope",
     "cyclic_h",
     "disjoint_union",
-    "even_manifold_reconstruction_coefficients",
     "f_from_h",
     "f_from_short_h",
     "gale_facets",

@@ -3,7 +3,7 @@
 Subcommands: invariants, classify, verify, gen, sweep.  Exit codes: 0 for a
 passing verification (and for plain queries), 1 when hypotheses hold but a
 conclusion fails, 2 when hypotheses are not met, 64 for usage errors and
-malformed input files.
+malformed input files, 70 for an internal error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .vectors import h_from_f, short_h_from_f
 from .verify import VERIFIERS
 
 USAGE_ERROR = 64
+INTERNAL_ERROR = 70  # EX_SOFTWARE in sysexits.h; 64 is EX_USAGE there
 
 
 class _UsageError(Exception):
@@ -110,6 +111,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _internal(e: Exception) -> str:
+    return f"internal error: {type(e).__name__}: {e}"
+
+
 _SEVERITY = {"pass": 0, "hypotheses-not-met": 1, "fail": 2, "error": 3}
 _EXIT_FOR = {"pass": 0, "hypotheses-not-met": 2, "fail": 1, "error": USAGE_ERROR}
 
@@ -131,6 +136,9 @@ def _cmd_sweep(args) -> int:
         except (FacetFileError, ValueError) as e:
             outcome = "error"
             sys.stdout.write(f"{path.name:<{width}}  error: {e}\n")
+        except Exception as e:  # one faulty file must not end the sweep
+            outcome = "error"
+            sys.stdout.write(f"{path.name:<{width}}  error: {_internal(e)}\n")
         else:
             sys.stdout.write(f"{path.name:<{width}}  {outcome}\n")
         counts[outcome] += 1
@@ -155,6 +163,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         sys.stderr.write(f"ubckit: error: {e}\n")
         return USAGE_ERROR
+    except Exception as e:  # never let an internal fault read as exit 1 "fail"
+        sys.stderr.write(f"ubckit: {_internal(e)}\n")
+        return INTERNAL_ERROR
 
 
 def main_entry() -> None:

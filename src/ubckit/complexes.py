@@ -40,7 +40,7 @@ class SimplicialComplex:
     Two complexes are equal exactly when their facet sets are equal.
     """
 
-    __slots__ = ("_facets", "_vertices", "_by_dim", "_face_set")
+    __slots__ = ("_facets", "_vertices", "_dim", "_pure", "_by_dim", "_face_set", "_incidence")
 
     def __init__(self, faces: Iterable[Iterable[int]]) -> None:
         normalized = sorted({normalize_face(f) for f in faces}, key=lambda f: (-len(f), f))
@@ -56,10 +56,26 @@ class SimplicialComplex:
             if not any(fs <= other for other in kept_sets):
                 kept.append(face)
                 kept_sets.append(fs)
-        self._facets = tuple(sorted(kept))
-        self._vertices = tuple(sorted({v for f in kept for v in f}))
+        self._set_facets(tuple(sorted(kept)))
+
+    @classmethod
+    def _trusted(cls, facets: tuple[Face, ...]) -> SimplicialComplex:
+        """Complex from facets already in canonical form: a non-empty,
+        sorted, duplicate-free antichain of normalized faces.  Skips
+        normalization and the absorption pass."""
+        sc = cls.__new__(cls)
+        sc._set_facets(facets)
+        return sc
+
+    def _set_facets(self, facets: tuple[Face, ...]) -> None:
+        self._facets = facets
+        self._vertices = tuple(sorted({v for f in facets for v in f}))
+        sizes = {len(f) for f in facets}
+        self._dim = max(sizes) - 1
+        self._pure = len(sizes) == 1
         self._by_dim: dict[int, tuple[Face, ...]] | None = None
         self._face_set: frozenset[Face] | None = None
+        self._incidence: dict[int, tuple[Face, ...]] | None = None
 
     @property
     def facets(self) -> tuple[Face, ...]:
@@ -76,13 +92,12 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         """Largest face dimension; -1 for the empty complex."""
-        return max(len(f) for f in self._facets) - 1
+        return self._dim
 
     @property
     def is_pure(self) -> bool:
         """True when all facets share one dimension."""
-        sizes = {len(f) for f in self._facets}
-        return len(sizes) == 1
+        return self._pure
 
     def _lattice(self) -> dict[int, tuple[Face, ...]]:
         by_dim = self._by_dim
@@ -102,12 +117,15 @@ class SimplicialComplex:
         """All faces of dimension i, sorted; empty outside -1..dim."""
         return self._lattice().get(i, ())
 
-    def has_face(self, face: Iterable[int]) -> bool:
+    def _all_faces(self) -> frozenset[Face]:
         face_set = self._face_set
         if face_set is None:
             face_set = frozenset(f for fs in self._lattice().values() for f in fs)
             self._face_set = face_set
-        return normalize_face(face) in face_set
+        return face_set
+
+    def has_face(self, face: Iterable[int]) -> bool:
+        return normalize_face(face) in self._all_faces()
 
     def face_counts(self) -> tuple[int, ...]:
         """Raw counts (f_-1, f_0, ..., f_dim) with f_-1 = 1."""
@@ -128,17 +146,34 @@ class SimplicialComplex:
 
     def link(self, face: Iterable[int]) -> SimplicialComplex:
         """The link of a face: all faces disjoint from it whose union with
-        it is again a face.  The link of () is the complex itself."""
+        it is again a face.  The link of () is the complex itself.
+
+        Candidate facets come from a vertex -> facets incidence index, built
+        on the first call, taking the shortest list among the face's
+        vertices.  The generators {F - G : G <= F facet} are already sorted,
+        duplicate-free and an antichain when the facets are, so the result
+        is built without normalization or absorption.
+        """
         face = normalize_face(face)
-        if not self.has_face(face):
+        if face not in self._all_faces():
             raise ValueError(f"{list(face)} is not a face of this complex")
+        if not face:
+            return self
+        incidence = self._incidence
+        if incidence is None:
+            lists: dict[int, list[Face]] = {}
+            for facet in self._facets:
+                for v in facet:
+                    lists.setdefault(v, []).append(facet)
+            incidence = {v: tuple(fs) for v, fs in lists.items()}
+            self._incidence = incidence  # idempotent write
         fs = set(face)
-        generators = [
-            tuple(v for v in facet if v not in fs)
-            for facet in self._facets
+        candidates = min((incidence[v] for v in face), key=len)
+        return SimplicialComplex._trusted(tuple([
+            tuple([v for v in facet if v not in fs])
+            for facet in candidates
             if fs.issubset(facet)
-        ]
-        return SimplicialComplex(generators)
+        ]))
 
     def skeleton(self, i: int) -> SimplicialComplex:
         """Subcomplex of all faces of dimension <= i."""

@@ -162,17 +162,22 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+MAX_SPEC_DEPTH = 100
+
+
 def parse_spec(text: str):
     """Parse a generator spec into a nested (name, args...) tuple.
 
     Accepts ``name a b`` with integer arguments at the top level and the
-    nested call syntax ``name(arg, ...)`` everywhere.
+    nested call syntax ``name(arg, ...)`` everywhere.  Calls nested more
+    than MAX_SPEC_DEPTH deep are rejected with a ValueError, which keeps
+    parsing and building within the interpreter's recursion limit.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty generator spec")
 
-    def parse_call(i: int):
+    def parse_call(i: int, depth: int):
         if i >= len(tokens):
             raise ValueError("unexpected end of generator spec")
         kind, value = tokens[i]
@@ -184,9 +189,13 @@ def parse_spec(text: str):
         i += 1
         args = []
         if i < len(tokens) and tokens[i] == ("sym", "("):
+            if depth == MAX_SPEC_DEPTH:
+                raise ValueError(
+                    f"generator spec is nested more than {MAX_SPEC_DEPTH} levels deep"
+                )
             i += 1
             while True:
-                arg, i = parse_call(i)
+                arg, i = parse_call(i, depth + 1)
                 args.append(arg)
                 if i >= len(tokens):
                     raise ValueError("unbalanced parentheses in generator spec")
@@ -199,7 +208,7 @@ def parse_spec(text: str):
                 raise ValueError(f"unexpected token {tokens[i][1]!r} in generator spec")
         return (name, *args), i
 
-    node, i = parse_call(0)
+    node, i = parse_call(0, 0)
     if isinstance(node, int):
         raise ValueError("generator spec cannot be a bare integer")
     # flat form: remaining top-level tokens must all be integers

@@ -24,28 +24,34 @@ def gale_facets(d: int, n: int) -> SimplicialComplex:
     """Boundary complex of the cyclic d-polytope on vertices 0..n-1.
 
     A d-subset S is a facet exactly when for every pair i < j of vertices
-    outside S, the number of elements of S strictly between i and j is even.
-    n = d+1 is allowed and yields the boundary of a simplex.
+    outside S, the number of elements of S strictly between i and j is even
+    (Gale's evenness condition).  Equivalently, every maximal block of
+    consecutive elements of S is of even length unless it contains 0 or
+    n-1 (Ziegler, Lectures on Polytopes, Thm 0.7).  The facets are
+    enumerated directly in that form, by depth-first search over the
+    blocks, in lexicographic order.  n = d+1 is allowed and yields the
+    boundary of a simplex.
     """
     _check_spec(d, n)
-    outside_pairs_cache = list(range(n))
-    facets = []
-    for subset in combinations(outside_pairs_cache, d):
-        inside = set(subset)
-        outside = [v for v in outside_pairs_cache if v not in inside]
-        ok = True
-        for a in range(len(outside)):
-            for b in range(a + 1, len(outside)):
-                i, j = outside[a], outside[b]
-                between = sum(1 for s in subset if i < s < j)
-                if between % 2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            facets.append(subset)
-    return SimplicialComplex(facets)
+    facets: list[tuple[int, ...]] = []
+
+    def place(start: int, r: int, prefix: tuple[int, ...]) -> None:
+        # vertex start-1 is outside S; r elements remain for start..n-1.
+        # For each first element x, a longer block is lexicographically
+        # smaller; an interior block must leave room for an outside vertex
+        # and the remaining elements, so every branch yields a facet.
+        if r == 0:
+            facets.append(prefix)
+            return
+        for x in range(start, n - r):
+            for length in range(r - r % 2, 0, -2):
+                place(x + length + 1, r - length, prefix + tuple(range(x, x + length)))
+        facets.append(prefix + tuple(range(n - r, n)))
+
+    for first in range(d, 0, -1):  # the block containing vertex 0
+        place(first + 1, d - first, tuple(range(first)))
+    place(1, d, ())
+    return SimplicialComplex._trusted(tuple(facets))
 
 
 def cyclic_h(d: int, n: int, i: int) -> int:

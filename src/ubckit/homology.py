@@ -380,14 +380,15 @@ class ClassificationReport:
 
 
 def classify(sc: SimplicialComplex) -> ClassificationReport:
-    """Run every classifier and assemble the report."""
+    """Run every classifier and assemble the report.  The homology-sphere
+    flag is read off the homology-manifold pass, which runs once."""
     eul, eul_w = is_eulerian(sc)
     semi, semi_w = is_semi_eulerian(sc)
     hm, hm_orient, hm_w = is_homology_manifold(sc)
     pm, pm_orient, pm_w = is_pseudomanifold(sc)
     cm, cm_w = is_cohen_macaulay(sc)
     bb, bb_w = is_buchsbaum(sc)
-    sphere = is_homology_sphere(sc)
+    sphere = bool(hm) and _is_sphere_betti(sc, sc.dim)
 
     if hm:
         orientable = hm_orient

@@ -261,17 +261,3 @@ def lower_bound_coeff(d: int, i: int, l: int) -> Fraction:
         Fraction((-1) ** (i - j) * binomial(d - 1 - l, d - 1 - j), j + 1)
         for j in range(l, i + 1)
     )
-
-
-def even_manifold_reconstruction_coefficients(k: int, j: int):
-    """Coefficients writing f_j of a (2k+1)-dimensional complex with
-    homology-manifold vertex links as a non-negative combination of
-    sh_0..sh_{k+1}.
-
-    Such coefficients exist and are independent of the complex, but no
-    formula for them is derivable from the identities implemented here, so
-    this symbol is deliberately left unimplemented.
-    """
-    raise NotImplementedError(
-        "no closed form available; use f_from_short_h for the full-length identity"
-    )

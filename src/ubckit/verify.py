@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
-from .cyclic import cyclic_h, gale_facets
+from .cyclic import cyclic_h
 from .homology import (
     betti_numbers,
     is_buchsbaum,
@@ -23,7 +23,7 @@ from .homology import (
     is_pseudomanifold,
     satisfies_betti_bound,
 )
-from .vectors import h_from_f, short_h_from_f
+from .vectors import HVector, f_from_h, h_from_f, short_h_from_f
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,8 @@ def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
     intermediate short-h comparison sh_i <= sh_i(cyclic) for i = 0..k+1.
     The entrywise h comparison for i = 0..k+1 is reported as informational
     only: whether it follows from the hypotheses is an open question.
+    The cyclic polytope's f-vector comes from its closed-form h-vector
+    (:func:`cyclic_h`), not from enumerating its facets.
     """
     k = _odd_dimension_k(sc)
     d = 2 * k + 2
@@ -183,8 +185,8 @@ def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
         raise ValueError(f"need at least {d + 1} vertices for the cyclic comparison, got {n}")
     hypotheses = check_ubc_hypotheses(sc, "theorem")
 
-    cyc = gale_facets(d, n)
-    f_here, f_cyc = sc.f_vector(), cyc.f_vector()
+    h_cyc = HVector(cyclic_h(d, n, i) for i in range(d + 1))
+    f_here, f_cyc = sc.f_vector(), f_from_h(h_cyc)
     conclusions = [
         Inequality(
             f"f_{i} <= f_{i}(C_{d}({n}))", f_here[i], f_cyc[i], f_here[i] <= f_cyc[i]
@@ -201,7 +203,7 @@ def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
         )
         for i in range(0, k + 2)
     )
-    h_here, h_cyc = h_from_f(f_here), h_from_f(f_cyc)
+    h_here = h_from_f(f_here)
     conclusions.extend(
         Inequality(
             f"h_{i} <= h_{i}(C_{d}({n}))",

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own code paths: hull
 facets come from exact orientation determinants over moment-curve points,
 f-vectors from brute-force subset enumeration, and Betti numbers from a
-plain rational Gaussian elimination.
+plain rational Gaussian elimination.  The reference link and Gale
+enumeration are the straightforward versions of the library's fast paths:
+a scan over every facet rebuilt through the full constructor, and a test of
+Gale's evenness condition on every d-subset.
 """
 
 from __future__ import annotations
@@ -130,3 +133,31 @@ def brute_force_betti(facets) -> tuple[int, ...]:
     for i in range(0, top + 1):
         betti.append(len(by_dim[i]) - ranks[i] - ranks[i + 1])
     return tuple(betti)
+
+
+def scan_link(sc, face):
+    """Link of a face by scanning every facet that contains it; the result
+    goes through the full constructor (normalization and absorption)."""
+    from ubckit import SimplicialComplex
+
+    fs = set(face)
+    return SimplicialComplex(
+        tuple(v for v in facet if v not in fs) for facet in sc.facets if fs.issubset(facet)
+    )
+
+
+def brute_force_gale_facets(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every d-subset of 0..n-1, in lexicographic order, that satisfies
+    Gale's evenness condition: between any two outside vertices lies an
+    even number of elements of the subset."""
+    facets = []
+    for subset in combinations(range(n), d):
+        inside = set(subset)
+        outside = [v for v in range(n) if v not in inside]
+        if all(
+            sum(1 for s in subset if i < s < j) % 2 == 0
+            for a, i in enumerate(outside)
+            for j in outside[a + 1 :]
+        ):
+            facets.append(subset)
+    return tuple(facets)

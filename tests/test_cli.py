@@ -1,8 +1,9 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
-from ubckit import save_complex, torus_7
+from ubckit import cli, save_complex, torus_7
 from ubckit.cli import main
 
 
@@ -139,6 +140,50 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     bad.write_text('{"name": "x", "facets": [[0, 0]]}')
     assert main(["invariants", str(bad)]) == 64
     capsys.readouterr()
+
+
+def test_deeply_nested_spec_is_a_usage_error(capsys):
+    spec = "cone(" * 2000 + "torus-7" + ")" * 2000
+    assert main(["gen", spec]) == 64
+    err = capsys.readouterr().err
+    assert "nested more than" in err and err.count("\n") == 1
+
+
+def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
+    path = _gen(tmp_path, "boundary-simplex 3", "s.json")
+
+    def broken(sc):
+        raise RuntimeError("simulated internal fault")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    capsys.readouterr()
+    assert main(["classify", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ubckit: internal error: RuntimeError: simulated internal fault\n"
+
+
+def test_sweep_continues_past_internal_error(tmp_path, capsys, monkeypatch):
+    _gen(tmp_path, "boundary-simplex 4", "a.json")
+    _gen(tmp_path, "cyclic 4 7", "b.json")
+    _gen(tmp_path, "cyclic 4 8", "c.json")
+    real_load = cli.load_complex
+
+    def load(path):
+        if Path(path).name == "b.json":
+            raise RecursionError("maximum recursion depth exceeded")
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "load_complex", load)
+    capsys.readouterr()
+    code = main(["sweep", "ubc", str(tmp_path)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("a.json") and lines[0].endswith("pass")
+    assert lines[1].startswith("b.json")
+    assert lines[1].endswith("error: internal error: RecursionError: maximum recursion depth exceeded")
+    assert lines[2].startswith("c.json") and lines[2].endswith("pass")
+    assert lines[3].startswith("# ubc: 2 pass, 0 fail, 0 hypotheses-not-met, 1 error")
+    assert code == 64
 
 
 def test_invariants_impure_short_h_not_applicable(tmp_path, capsys):

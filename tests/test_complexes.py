@@ -3,9 +3,11 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus_data import CORPUS
-from oracles import brute_force_f_vector
+from oracles import brute_force_f_vector, scan_link
 from ubckit import SimplicialComplex, build_complex, normalize_face
 
 
@@ -114,6 +116,31 @@ def test_link_membership_characterization():
             disjoint = not (set(g) & set(face))
             expected = disjoint and sc.has_face(tuple(sorted(set(g) | set(face))))
             assert in_link == expected
+
+
+ANY_COMPLEXES = st.lists(
+    st.sets(st.integers(0, 7), max_size=5).map(sorted), min_size=1, max_size=8
+).map(SimplicialComplex)
+
+
+def _assert_same_complex(fast, reference):
+    assert fast.facets == reference.facets
+    assert fast.vertices == reference.vertices
+    assert fast.dim == reference.dim
+    assert fast.is_pure == reference.is_pure
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_COMPLEXES)
+def test_link_matches_scan_oracle(sc):
+    for i in range(-1, sc.dim + 1):
+        for face in sc.faces(i):
+            link = sc.link(face)
+            _assert_same_complex(link, scan_link(sc, face))
+            assert sc.link(face[::-1]) == link
+            # links are built by the trusted constructor; so are their links
+            for v in link.vertices:
+                _assert_same_complex(link.link((v,)), scan_link(link, (v,)))
 
 
 def test_skeleton_dimensions_and_counts():

@@ -18,6 +18,7 @@ from ubckit import (
     torus_7,
     wedge,
 )
+from ubckit.corpus import MAX_SPEC_DEPTH
 
 
 def test_boundary_simplex():
@@ -110,6 +111,19 @@ def test_parse_spec_errors():
         parse_spec("cyclic 4 x")
     with pytest.raises(ValueError):
         parse_spec("7")
+
+
+def test_parse_spec_depth_limit():
+    def nested(depth):
+        return "cone(" * depth + "torus-7" + ")" * depth
+
+    node = parse_spec(nested(MAX_SPEC_DEPTH))
+    for _ in range(MAX_SPEC_DEPTH):
+        assert node[0] == "cone"
+        node = node[1]
+    assert node == ("torus-7",)
+    with pytest.raises(ValueError, match="nested more than"):
+        parse_spec(nested(MAX_SPEC_DEPTH + 1))
 
 
 def test_generate_names_and_complexes():

@@ -4,10 +4,13 @@ cross-checked against the exact moment-curve hull oracle."""
 import pytest
 
 from corpus_data import CORPUS
-from oracles import moment_curve_hull_facets
+from oracles import brute_force_gale_facets, moment_curve_hull_facets
 from ubckit import (
+    HVector,
+    SimplicialComplex,
     boundary_simplex,
     cyclic_h,
+    f_from_h,
     gale_facets,
     h_from_f,
     is_eulerian,
@@ -36,6 +39,17 @@ def test_gale_matches_hull_oracle(d, n):
     assert set(gale_facets(d, n).facets) == moment_curve_hull_facets(d, n)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_gale_matches_brute_force(d):
+    for n in range(d + 1, d + 12):
+        sc = gale_facets(d, n)
+        assert sc.facets == brute_force_gale_facets(d, n)
+        reference = SimplicialComplex(sc.facets)
+        assert (sc.vertices, sc.dim, sc.is_pure) == (
+            reference.vertices, reference.dim, reference.is_pure
+        )
+
+
 def test_gale_rejects_bad_parameters():
     with pytest.raises(ValueError):
         gale_facets(1, 5)
@@ -59,11 +73,15 @@ def test_cyclic_h_palindromic():
                 assert cyclic_h(d, n, i) == cyclic_h(d, n, d - i)
 
 
-@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("d", range(2, 9))
 def test_h_vector_benchmark(d):
-    for n in range(d + 1, 11):
-        h = h_from_f(gale_facets(d, n).f_vector())
-        assert h == tuple(cyclic_h(d, n, i) for i in range(d + 1))
+    # both directions: verify_ubc takes the cyclic f-vector from f_from_h
+    larger = {4: [40], 6: [20], 8: [18]}.get(d, [])
+    for n in [*range(d + 1, d + 12), *larger]:
+        f = gale_facets(d, n).f_vector()
+        h = HVector(cyclic_h(d, n, i) for i in range(d + 1))
+        assert h_from_f(f) == h
+        assert f_from_h(h) == f
 
 
 def test_neighborliness_values():

@@ -233,6 +233,14 @@ def test_classification_report_false_flags_have_witnesses():
                 assert flag in doc["witnesses"]
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS) + sorted(EXTRAS))
+def test_classification_sphere_flag_matches_is_homology_sphere(name):
+    sc = {**CORPUS, **EXTRAS}[name]
+    report = classify(sc)
+    assert report.homology_sphere == is_homology_sphere(sc)
+    assert ("homology_sphere" in report.witnesses) == (report.homology_sphere is False)
+
+
 def test_classification_impure_not_applicable():
     report = classify(EXTRAS["impure"])
     assert report.pure is False

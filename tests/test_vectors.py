@@ -16,7 +16,6 @@ from ubckit import (
     SimplicialComplex,
     beta_integral,
     binomial,
-    even_manifold_reconstruction_coefficients,
     f_from_h,
     f_from_short_h,
     h_from_f,
@@ -236,11 +235,6 @@ def test_f_reconstruction_coefficients_non_negative():
         for j in range(d):
             for i in range(j + 1):
                 assert Fraction(binomial(d - 1 - i, d - 1 - j), j + 1) >= 0
-
-
-def test_reconstruction_stub_is_unimplemented():
-    with pytest.raises(NotImplementedError):
-        even_manifold_reconstruction_coefficients(1, 0)
 
 
 def _facets(draw_sets):
