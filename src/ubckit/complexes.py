@@ -8,6 +8,9 @@ is representable; the void complex (no faces at all) is rejected.
 Instances are immutable.  The face lattice is enumerated on first use and
 cached; the cached value is a pure function of the facets, so the
 single-assignment write is idempotent and safe under concurrent first access.
+The link table (see :meth:`link`) and the Betti numbers memoized by
+:func:`ubckit.homology.betti_numbers` live exactly as long as the complex
+does; nothing is cached across complexes.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ class SimplicialComplex:
     Two complexes are equal exactly when their facet sets are equal.
     """
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_pure", "_by_dim", "_face_set", "_incidence")
+    __slots__ = ("_facets", "_vertices", "_dim", "_pure", "_by_dim", "_face_set",
+                 "_links", "_root", "_face", "_betti")
 
     def __init__(self, faces: Iterable[Iterable[int]]) -> None:
         normalized = sorted({normalize_face(f) for f in faces}, key=lambda f: (-len(f), f))
@@ -75,7 +79,9 @@ class SimplicialComplex:
         self._pure = len(sizes) == 1
         self._by_dim: dict[int, tuple[Face, ...]] | None = None
         self._face_set: frozenset[Face] | None = None
-        self._incidence: dict[int, tuple[Face, ...]] | None = None
+        self._links: dict[tuple, SimplicialComplex] | None = None
+        self._root: SimplicialComplex | None = None  # on a link lk(F): the complex; _face is F
+        self._betti = None
 
     @property
     def facets(self) -> tuple[Face, ...]:
@@ -148,32 +154,35 @@ class SimplicialComplex:
         """The link of a face: all faces disjoint from it whose union with
         it is again a face.  The link of () is the complex itself.
 
-        Candidate facets come from a vertex -> facets incidence index, built
-        on the first call, taking the shortest list among the face's
-        vertices.  The generators {F - G : G <= F facet} are already sorted,
-        duplicate-free and an antichain when the facets are, so the result
-        is built without normalization or absorption.
+        Links come from the complex's link table.  For F = G + (v,), v the
+        last vertex of F, lk(F) has the facets {H - v : v in H, H a facet of
+        lk(G)}, taken from lk(G) in the table; a sorted antichain stays one,
+        so nothing is normalized or absorbed.  Equal links of different faces
+        are one object.  On lk(F), link(G) is the table's lk(F + G) = lk_{lk F}(G).
         """
         face = normalize_face(face)
         if face not in self._all_faces():
             raise ValueError(f"{list(face)} is not a face of this complex")
-        if not face:
-            return self
-        incidence = self._incidence
-        if incidence is None:
-            lists: dict[int, list[Face]] = {}
-            for facet in self._facets:
-                for v in facet:
-                    lists.setdefault(v, []).append(facet)
-            incidence = {v: tuple(fs) for v, fs in lists.items()}
-            self._incidence = incidence  # idempotent write
-        fs = set(face)
-        candidates = min((incidence[v] for v in face), key=len)
-        return SimplicialComplex._trusted(tuple([
-            tuple([v for v in facet if v not in fs])
-            for facet in candidates
-            if fs.issubset(facet)
-        ]))
+        if self._root is not None:
+            return self._root.link(self._face + face)
+        return self._link(face)
+
+    def _link(self, face: Face) -> SimplicialComplex:
+        # keys: faces (tuples of ints) and, to intern links, facet tuples
+        table = self._links
+        if table is None:
+            table = self._links = {(): self}
+        lk = table.get(face)
+        if lk is None:
+            v = face[-1]
+            parent = self._link(face[:-1])
+            facets = tuple([tuple([u for u in h if u != v]) for h in parent._facets if v in h])
+            lk = table.get(facets)
+            if lk is None:
+                lk = table[facets] = SimplicialComplex._trusted(facets)
+                lk._root, lk._face = self, face
+            table[face] = lk
+        return lk
 
     def skeleton(self, i: int) -> SimplicialComplex:
         """Subcomplex of all faces of dimension <= i."""

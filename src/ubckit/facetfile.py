@@ -2,7 +2,10 @@
 
 A facet file is a JSON document with two fields: ``name`` (string) and
 ``facets`` (array of arrays of non-negative integers, 0-based vertex ids).
-Parse errors name the offending line where one can be located.
+Parse errors name the offending line where one can be located.  A file is
+rejected before any complex is built when its facets could span more than
+MAX_FACES faces (sum of 2^|F| over the listed facets): enumerating the face
+lattice grows with that sum.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import re
 from pathlib import Path
 
 from .complexes import SimplicialComplex, normalize_face
+
+
+MAX_FACES = 2**20
 
 
 class FacetFileError(ValueError):
@@ -52,6 +58,8 @@ def parse_facet_text(text: str) -> tuple[str, SimplicialComplex]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FacetFileError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise FacetFileError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise FacetFileError("facet file must contain a single JSON object")
     if "name" not in doc or not isinstance(doc["name"], str):
@@ -75,6 +83,11 @@ def parse_facet_text(text: str) -> tuple[str, SimplicialComplex]:
             normalize_face(facet)
         except ValueError as e:
             raise FacetFileError(f"facet #{idx}: {e}{_at_line(text, idx)}") from None
+    bound = sum(2 ** len(facet) for facet in facets)
+    if bound > MAX_FACES:
+        raise FacetFileError(
+            f"the facets span up to {bound} faces, more than the limit of {MAX_FACES}"
+        )
     return doc["name"], SimplicialComplex(facets)
 
 

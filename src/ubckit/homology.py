@@ -7,13 +7,13 @@ elimination, keeping the whole pipeline exact.
 
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
-first within its dimension).
+first within its dimension).  The classifiers share work only through the
+complex itself: its link table and the Betti numbers memoized on every link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .complexes import Face, SimplicialComplex
@@ -91,15 +91,17 @@ def matrix_rank(mat: list[list[int]]) -> int:
     return len(pivots)
 
 
-@lru_cache(maxsize=None)
 def betti_numbers(sc: SimplicialComplex) -> BettiVector:
     """Reduced rational Betti numbers b_-1 .. b_dim.
 
     b_i = dim ker(boundary_i) - rank(boundary_{i+1}); b_-1 = 1 exactly for
-    the empty complex.  The reduced Euler-Poincare identity
+    the empty complex.  Memoized in a slot of the complex, not in a
+    process-global cache.  The reduced Euler-Poincare identity
     sum (-1)^i b_i = chi - 1 is checked on every computation; it checks the
     face counts only, as a rank off by d shifts b_{i-1} and b_i alike.
     """
+    if sc._betti is not None:
+        return sc._betti
     d = sc.dim
     ranks = [matrix_rank(boundary_matrix(sc, i)) for i in range(0, d + 1)]
     ranks.append(0)
@@ -111,6 +113,7 @@ def betti_numbers(sc: SimplicialComplex) -> BettiVector:
     chi = sc.euler_characteristic()
     if sum((-1) ** i * b for i, b in bv.items()) != chi - 1:
         raise ArithmeticError(f"Euler-Poincare identity failed on {sc!r}")
+    sc._betti = bv
     return bv
 
 
@@ -144,19 +147,17 @@ def is_eulerian(sc: SimplicialComplex):
     """Every face link, the empty face included, has the Euler characteristic
     of the sphere of its dimension.  Returns (flag, witness); the flag is
     None (not applicable) for impure complexes."""
-    if not sc.is_pure:
-        return None, Witness(None, "complex is not pure")
     return _eulerian_condition(sc, include_empty=True)
 
 
 def is_semi_eulerian(sc: SimplicialComplex):
     """Same as :func:`is_eulerian` but the empty face is exempt."""
-    if not sc.is_pure:
-        return None, Witness(None, "complex is not pure")
     return _eulerian_condition(sc, include_empty=False)
 
 
 def _eulerian_condition(sc: SimplicialComplex, include_empty: bool):
+    if not sc.is_pure:
+        return None, Witness(None, "complex is not pure")
     for face in _faces_top_down(sc, include_empty):
         link = sc.link(face)
         chi = link.euler_characteristic()
@@ -176,21 +177,24 @@ def _is_sphere_betti(link: SimplicialComplex, m: int) -> bool:
     return all(entry == (1 if i == m else 0) for i, entry in b.items())
 
 
+def _count_classes(items, pairs) -> int:
+    """Classes of the equivalence on items generated by pairs (union-find)."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in items})
+
+
 def connected_components(sc: SimplicialComplex) -> int:
     """Components of the underlying vertex graph (0 for the empty complex)."""
-    parent = {v: v for v in sc.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in sc.faces(1):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in sc.vertices})
+    return _count_classes(sc.vertices, sc.faces(1))
 
 
 def is_homology_manifold(sc: SimplicialComplex):
@@ -244,9 +248,8 @@ def is_pseudomanifold(sc: SimplicialComplex):
             )
         return True, betti_numbers(sc)[0] == connected_components(sc), None
 
-    facets = sc.facets
     ridge_count: dict[Face, list[int]] = {}
-    for idx, facet in enumerate(facets):
+    for idx, facet in enumerate(sc.facets):
         for m in range(len(facet)):
             ridge = facet[:m] + facet[m + 1 :]
             ridge_count.setdefault(ridge, []).append(idx)
@@ -257,19 +260,7 @@ def is_pseudomanifold(sc: SimplicialComplex):
                 ridge, f"ridge lies in {len(owners)} facets, expected exactly 2"
             )
 
-    parent = list(range(len(facets)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for owners in ridge_count.values():
-        ra, rb = find(owners[0]), find(owners[1])
-        if ra != rb:
-            parent[ra] = rb
-    facet_groups = len({find(i) for i in range(len(facets))})
+    facet_groups = _count_classes(range(len(sc.facets)), ridge_count.values())
     if facet_groups != connected_components(sc):
         return False, None, Witness(
             None,
@@ -278,6 +269,11 @@ def is_pseudomanifold(sc: SimplicialComplex):
         )
     orientable = betti_numbers(sc)[d] == connected_components(sc)
     return True, orientable, None
+
+
+def _middle_betti_bound(b: BettiVector, k: int) -> int:
+    """2 b_{k-1} + 2 sum_{i=0..k-3} b_i, the middle Betti bound on b_k."""
+    return 2 * b[k - 1] + 2 * sum(b[i] for i in range(0, k - 2))
 
 
 def satisfies_betti_bound(sc: SimplicialComplex, k: int) -> bool:
@@ -292,8 +288,7 @@ def satisfies_betti_bound(sc: SimplicialComplex, k: int) -> bool:
     if sc.dim != 2 * k:
         raise ValueError(f"complex has dimension {sc.dim}, expected {2 * k}")
     b = betti_numbers(sc)
-    bound = 2 * b[k - 1] + 2 * sum(b[i] for i in range(0, k - 2))
-    return b[k] <= bound
+    return b[k] <= _middle_betti_bound(b, k)
 
 
 def is_cohen_macaulay(sc: SimplicialComplex):

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex
 from .cyclic import cyclic_h
 from .homology import (
+    _middle_betti_bound,
     betti_numbers,
     is_buchsbaum,
     is_eulerian,
     is_homology_manifold,
     is_homology_sphere,
     is_pseudomanifold,
-    satisfies_betti_bound,
 )
 from .vectors import HVector, f_from_h, h_from_f, short_h_from_f
 
@@ -110,11 +110,9 @@ def _admissible_link_theorem(link: SimplicialComplex, k: int):
     if not flag:
         return False, f"link is not a homology manifold: {wit.reason}"
     chi = link.euler_characteristic()
-    if chi == 2:
-        return True, None
     b = betti_numbers(link)
-    bound = 2 * b[k - 1] + 2 * sum(b[i] for i in range(0, k - 2))
-    if orientable and satisfies_betti_bound(link, k):
+    bound = _middle_betti_bound(b, k)
+    if chi == 2 or (orientable and b[k] <= bound):
         return True, None
     if not orientable:
         return False, f"chi(link) = {chi} != 2 and the link is not orientable"
@@ -241,13 +239,11 @@ def check_lemma_hh(sc: SimplicialComplex, k: int | None = None) -> VerificationR
     )
     chi = sc.euler_characteristic()
     if flag:
-        if chi == 2:
-            alt_status, alt_reason = True, None
-        elif bool(orientable) and satisfies_betti_bound(sc, k):
+        b = betti_numbers(sc)
+        bound = _middle_betti_bound(b, k)
+        if chi == 2 or (orientable and b[k] <= bound):
             alt_status, alt_reason = True, None
         else:
-            b = betti_numbers(sc)
-            bound = 2 * b[k - 1] + 2 * sum(b[i] for i in range(0, k - 2))
             alt_status = False
             alt_reason = (
                 f"chi = {chi} != 2; orientable = {bool(orientable)}; "

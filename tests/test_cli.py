@@ -1,10 +1,20 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+import time
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubckit import cli, save_complex, torus_7
 from ubckit.cli import main
+from ubckit.corpus import _GENERATORS
+from ubckit.facetfile import MAX_FACES
+from ubckit.verify import VERIFIERS
 
 
 def _gen(tmp_path, spec, filename):
@@ -149,6 +159,30 @@ def test_deeply_nested_spec_is_a_usage_error(capsys):
     assert "nested more than" in err and err.count("\n") == 1
 
 
+def test_deeply_nested_facet_file_is_a_usage_error(tmp_path, capsys):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"name": "deep", "facets": ' + "[" * depth + "]" * depth + "}")
+    assert main(["invariants", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "internal error" not in err
+    assert main(["sweep", "ubc", str(tmp_path)]) == 64
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("deep.json  error: ") and "nested too deeply" in line
+    assert "internal error" not in line
+
+
+def test_facet_file_with_too_many_faces_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "facets": [list(range(24))]}))
+    start = time.perf_counter()
+    assert main(["invariants", str(path)]) == 64
+    assert time.perf_counter() - start < 1.0
+    assert f"more than the limit of {MAX_FACES}" in capsys.readouterr().err
+    assert main(["sweep", "ubc", str(tmp_path)]) == 64
+    assert capsys.readouterr().out.startswith("huge.json  error: ")
+
+
 def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
     path = _gen(tmp_path, "boundary-simplex 3", "s.json")
 
@@ -203,3 +237,55 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     main(["verify", "ubc", str(path)])
     second = capsys.readouterr().out
     assert first == second
+
+
+_COMMANDS = [["invariants"], ["classify"]] + [["verify", name] for name in sorted(VERIFIERS)]
+_NAMES = st.sampled_from(sorted(_GENERATORS))
+_INTS = st.integers(0, 6).map(str)
+_LEAVES = st.one_of(
+    st.sampled_from(["torus-7", "rp2-6"]),
+    st.tuples(st.sampled_from(["boundary-simplex", "cross-polytope"]), _INTS).map(
+        lambda call: f"{call[0]}({call[1]})"),
+    st.tuples(_INTS, _INTS).map(lambda ints: f"cyclic({ints[0]},{ints[1]})"),
+)
+# Two levels at most: a join of two larger leaves already takes about a second.
+_CALLS = st.one_of(
+    _LEAVES,
+    st.tuples(st.sampled_from(["cone", "suspension"]), _LEAVES).map(
+        lambda call: f"{call[0]}({call[1]})"),
+    st.tuples(st.sampled_from(["join", "disjoint-union", "wedge"]), _LEAVES, _LEAVES).map(
+        lambda call: f"{call[0]}({call[1]},{call[2]})"),
+)
+_TOKENS = st.lists(st.one_of(_NAMES, _INTS, st.sampled_from(["(", ")", ","])), max_size=10)
+_SPECS = st.one_of(_CALLS, _TOKENS.map(" ".join))
+
+
+@st.composite
+def _facet_files(draw) -> bytes:
+    doc = {
+        "name": draw(st.text(max_size=4)),
+        "facets": draw(st.lists(st.lists(st.integers(0, 7), max_size=5), max_size=6)),
+    }
+    data = json.dumps(doc).encode()
+    if draw(st.booleans()):  # splice in junk text or bytes that are not UTF-8
+        cut = draw(st.integers(0, len(data)))
+        junk = draw(st.one_of(st.text(max_size=6).map(str.encode), st.binary(max_size=6)))
+        data = data[:cut] + junk + data[cut:]
+    return data
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_facet_files(), st.sampled_from(_COMMANDS), _SPECS)
+def test_exit_codes_under_hostile_input(data, command, spec):
+    # Never 70 (internal error) and never an uncaught exception.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(data)
+        assert _exit_code([*command, str(path)]) in (0, 1, 2, 64)
+        assert _exit_code(["sweep", "lower-bounds", tmp]) in (0, 1, 2, 64)
+    assert _exit_code(["gen", spec]) in (0, 64)

@@ -138,9 +138,40 @@ def test_link_matches_scan_oracle(sc):
             link = sc.link(face)
             _assert_same_complex(link, scan_link(sc, face))
             assert sc.link(face[::-1]) == link
-            # links are built by the trusted constructor; so are their links
-            for v in link.vertices:
-                _assert_same_complex(link.link((v,)), scan_link(link, (v,)))
+            # links of a link come from the complex's table as lk(F + G)
+            for j in range(-1, link.dim + 1):
+                for g in link.faces(j):
+                    _assert_same_complex(link.link(g), scan_link(link, g))
+
+
+def test_link_table_returns_one_object_per_face():
+    sc = CORPUS["torus-7"]
+    for i in range(-1, sc.dim + 1):
+        for face in sc.faces(i):
+            assert sc.link(face) is sc.link(face)
+            assert sc.link(face) is sc.link(list(face)[::-1])
+
+
+def test_link_of_link_is_link_of_union():
+    sc = CORPUS["boundary-simplex-4"]
+    for i in range(-1, sc.dim + 1):
+        for face in sc.faces(i):
+            link = sc.link(face)
+            for j in range(-1, link.dim + 1):
+                for g in link.faces(j):
+                    assert link.link(g) is sc.link(face + g)
+    with pytest.raises(ValueError, match="not a face"):
+        sc.link((0,)).link((0,))
+
+
+def test_equal_links_of_different_faces_are_one_object():
+    from ubckit import cross_polytope
+
+    sc = cross_polytope(3)  # antipodal vertices 2i, 2i+1 have equal links
+    assert sc.link((0,)) is sc.link((1,))
+    assert sc.link((0, 2)) is sc.link((1, 3))
+    assert sc.link((0,)).link((2,)) is sc.link((1, 3))
+    assert sc.link((0,)) is not sc.link((2,))
 
 
 def test_skeleton_dimensions_and_counts():

@@ -1,6 +1,7 @@
 """Betti numbers against an independent rational-elimination oracle, plus
 the link-based classifiers."""
 
+import gc
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from corpus_data import CORPUS, EXTRAS
 from oracles import brute_force_betti
 from ubckit import (
+    SimplicialComplex,
     betti_numbers,
     boundary_matrix,
     build_complex,
@@ -16,6 +18,7 @@ from ubckit import (
     connected_components,
     disjoint_union,
     boundary_simplex,
+    gale_facets,
     is_buchsbaum,
     is_cohen_macaulay,
     is_eulerian,
@@ -25,7 +28,9 @@ from ubckit import (
     is_semi_eulerian,
     matrix_rank,
     satisfies_betti_bound,
+    verify_ubc,
 )
+from ubckit import homology
 
 
 def test_matrix_rank_basics():
@@ -83,6 +88,36 @@ def test_betti_invariant_under_relabeling(name):
     rng.shuffle(images)
     moved = sc.relabeled(dict(zip(sc.vertices, images)))
     assert betti_numbers(moved).entries == betti_numbers(sc).entries
+
+
+def test_betti_numbers_computed_once_per_complex(monkeypatch):
+    calls = []
+
+    def counting_rank(mat):
+        calls.append(1)
+        return matrix_rank(mat)
+
+    monkeypatch.setattr(homology, "matrix_rank", counting_rank)
+    sc = cone(boundary_simplex(3))
+    first = betti_numbers(sc)
+    assert calls
+    calls.clear()
+    assert betti_numbers(sc) is first
+    assert calls == []
+
+
+def _live_complexes() -> int:
+    return sum(isinstance(o, SimplicialComplex) for o in gc.get_objects())
+
+
+def test_links_and_betti_numbers_die_with_their_complex():
+    gc.collect()
+    before = _live_complexes()
+    sc = gale_facets(4, 10)
+    assert verify_ubc(sc).overall == "pass"
+    del sc
+    gc.collect()
+    assert _live_complexes() == before
 
 
 def test_connected_components():
