@@ -15,7 +15,7 @@ does; nothing is cached across complexes.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable
 
 from .vectors import FVector
@@ -53,13 +53,18 @@ class SimplicialComplex:
                 "no faces given: the void complex is not representable "
                 "(use [[]] for the empty complex)"
             )
+        # faces come longest first, and distinct faces of one size never
+        # contain each other: test each only against longer kept faces
         kept: list[Face] = []
-        kept_sets: list[frozenset[int]] = []
-        for face in normalized:
-            fs = frozenset(face)
-            if not any(fs <= other for other in kept_sets):
-                kept.append(face)
-                kept_sets.append(fs)
+        longer: list[frozenset[int]] = []
+        for _, same_size in groupby(normalized, key=len):
+            block = []
+            for face in same_size:
+                fs = frozenset(face)
+                if not any(fs <= other for other in longer):
+                    kept.append(face)
+                    block.append(fs)
+            longer += block
         self._set_facets(tuple(sorted(kept)))
 
     @classmethod
@@ -163,11 +168,13 @@ class SimplicialComplex:
         face = normalize_face(face)
         if face not in self._all_faces():
             raise ValueError(f"{list(face)} is not a face of this complex")
-        if self._root is not None:
-            return self._root.link(self._face + face)
-        return self._link(face)
+        return self._face_link(face)
 
-    def _link(self, face: Face) -> SimplicialComplex:
+    def _face_link(self, face: Face) -> SimplicialComplex:
+        """:meth:`link` of a face already normalized and known to be a face
+        of this complex; nothing is checked."""
+        if self._root is not None:
+            return self._root._face_link(tuple(sorted(self._face + face)))
         # keys: faces (tuples of ints) and, to intern links, facet tuples
         table = self._links
         if table is None:
@@ -175,7 +182,7 @@ class SimplicialComplex:
         lk = table.get(face)
         if lk is None:
             v = face[-1]
-            parent = self._link(face[:-1])
+            parent = self._face_link(face[:-1])
             facets = tuple([tuple([u for u in h if u != v]) for h in parent._facets if v in h])
             lk = table.get(facets)
             if lk is None:

@@ -100,9 +100,11 @@ def render_facet_text(name: str, sc: SimplicialComplex) -> str:
 def load_complex(path) -> tuple[str, SimplicialComplex]:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise FacetFileError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FacetFileError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     try:
         return parse_facet_text(text)
     except FacetFileError as e:

@@ -1,9 +1,12 @@
 """Reduced rational simplicial homology and link-based classifiers.
 
 Betti numbers are computed over the rationals from augmented boundary
-matrices (the empty face sits at level -1), so every number reported here
-is a reduced Betti number.  Ranks come from sparse fraction-free
-elimination, keeping the whole pipeline exact.
+operators (the empty face sits at level -1), so every number reported here
+is a reduced Betti number.  An operator is built from the faces as a list
+of sparse columns {row: +-1}.  The ranks of boundary_0 and boundary_1 have
+closed forms (1, and f_0 minus the number of components); higher ranks come
+from sparse fraction-free column elimination, keeping the whole pipeline
+exact.
 
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
@@ -37,37 +40,36 @@ class BettiVector(_ExactVector):
         return len(self.entries) - 2
 
 
-def boundary_matrix(sc: SimplicialComplex, i: int) -> list[list[int]]:
-    """Augmented boundary matrix sending i-faces to (i-1)-faces.
+def boundary_matrix(sc: SimplicialComplex, i: int) -> list[dict[int, int]]:
+    """Augmented boundary operator sending i-faces to (i-1)-faces, as a
+    list of sparse columns.
 
-    Rows are (i-1)-faces, columns i-faces, both sorted; the entry for
-    dropping the m-th vertex (in sorted order) is (-1)^m.  For i = 0 the
-    single row is the empty face and every column is 1.
+    Column c is {row: +-1} for the c-th i-face: rows index the (i-1)-faces,
+    both in sorted order, and dropping the m-th vertex (in sorted order)
+    gives the entry (-1)^m.  For i = 0 the single row is the empty face and
+    every column is {0: 1}.  Only nonzero entries are stored.
     """
-    rows = sc.faces(i - 1)
-    cols = sc.faces(i)
-    row_index = {f: r for r, f in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
-    for c, face in enumerate(cols):
-        for m in range(len(face)):
-            sub = face[:m] + face[m + 1 :]
-            mat[row_index[sub]][c] = -1 if m % 2 else 1
-    return mat
+    row_index = {f: r for r, f in enumerate(sc.faces(i - 1))}
+    return [
+        {row_index[face[:m] + face[m + 1 :]]: -1 if m % 2 else 1 for m in range(len(face))}
+        for face in sc.faces(i)
+    ]
 
 
-def matrix_rank(mat: list[list[int]]) -> int:
-    """Exact rank over Q of an integer matrix by sparse fraction-free
-    elimination on its columns.
+def matrix_rank(columns: list[dict[int, int]]) -> int:
+    """Exact rank over Q of an integer matrix given as sparse columns
+    {row: entry}, by fraction-free column elimination.  Zero entries may
+    be present and are ignored; the input is not modified.
 
-    Each column c = {row: entry} is reduced against the pivot column p with
+    Each column c is copied, then reduced against the pivot column p with
     the same largest row (low): with a = c[low], b = p[low], g = gcd(a, b),
     c becomes (b/g) c - (a/g) p, then is divided by its entries' gcd.  These
     are invertible rational column operations, and pivots with distinct lows
     are independent, so the rank is the number of pivots.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for column in zip(*mat):
-        col = {r: v for r, v in enumerate(column) if v}
+    for column in columns:
+        col = {r: v for r, v in column.items() if v}
         while col:
             low = max(col)
             p = pivots.get(low)
@@ -95,18 +97,25 @@ def betti_numbers(sc: SimplicialComplex) -> BettiVector:
     """Reduced rational Betti numbers b_-1 .. b_dim.
 
     b_i = dim ker(boundary_i) - rank(boundary_{i+1}); b_-1 = 1 exactly for
-    the empty complex.  Memoized in a slot of the complex, not in a
-    process-global cache.  The reduced Euler-Poincare identity
-    sum (-1)^i b_i = chi - 1 is checked on every computation; it checks the
-    face counts only, as a rank off by d shifts b_{i-1} and b_i alike.
+    the empty complex.  The two lowest ranks have closed forms: rank
+    boundary_0 = 1 (every vertex maps to the empty face) and rank
+    boundary_1 = f_0 - #components (the vertex graph's incidence matrix);
+    :func:`matrix_rank` runs only for i >= 2.  Memoized in a slot of the
+    complex, not in a process-global cache.  The reduced Euler-Poincare
+    identity sum (-1)^i b_i = chi - 1 is checked on every computation; it
+    checks the face counts only, as a rank off by d shifts b_{i-1} and b_i
+    alike.
     """
     if sc._betti is not None:
         return sc._betti
     d = sc.dim
-    ranks = [matrix_rank(boundary_matrix(sc, i)) for i in range(0, d + 1)]
+    ranks = [1] if d >= 0 else []
+    if d >= 1:
+        ranks.append(sc.n_vertices - _count_classes(sc.vertices, sc.faces(1)))
+    ranks += [matrix_rank(boundary_matrix(sc, i)) for i in range(2, d + 1)]
     ranks.append(0)
     counts = sc.face_counts()
-    entries = [1 - (ranks[0] if d >= 0 else 0)]
+    entries = [1 - ranks[0]]
     for i in range(0, d + 1):
         entries.append(counts[i + 1] - ranks[i] - ranks[i + 1])
     bv = BettiVector(entries)
@@ -159,7 +168,7 @@ def _eulerian_condition(sc: SimplicialComplex, include_empty: bool):
     if not sc.is_pure:
         return None, Witness(None, "complex is not pure")
     for face in _faces_top_down(sc, include_empty):
-        link = sc.link(face)
+        link = sc._face_link(face)
         chi = link.euler_characteristic()
         expected = _sphere_chi(link.dim)
         if chi != expected:
@@ -209,7 +218,7 @@ def is_homology_manifold(sc: SimplicialComplex):
     if not sc.is_pure:
         return None, None, Witness(None, "complex is not pure")
     for face in _faces_top_down(sc, include_empty=False):
-        link = sc.link(face)
+        link = sc._face_link(face)
         m = sc.dim - len(face)
         if not _is_sphere_betti(link, m):
             b = betti_numbers(link)
@@ -296,7 +305,7 @@ def is_cohen_macaulay(sc: SimplicialComplex):
     face included, the link has vanishing reduced homology below its
     dimension.  Returns (flag, witness)."""
     for face in _faces_top_down(sc, include_empty=True):
-        link = sc.link(face)
+        link = sc._face_link(face)
         b = betti_numbers(link)
         for i in range(-1, link.dim):
             if b[i] != 0:

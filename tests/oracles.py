@@ -6,7 +6,10 @@ f-vectors from brute-force subset enumeration, and Betti numbers from a
 plain rational Gaussian elimination.  The reference link and Gale
 enumeration are the straightforward versions of the library's fast paths:
 a scan over every facet rebuilt through the full constructor, and a test of
-Gale's evenness condition on every d-subset.
+Gale's evenness condition on every d-subset.  The maximal faces of a face
+list come from comparing every pair.  ``dense_to_columns`` turns a dense
+matrix into the sparse column input of ``matrix_rank``; ``rank_fraction``
+itself stays dense.
 """
 
 from __future__ import annotations
@@ -97,6 +100,20 @@ def rank_fraction(mat) -> int:
         if row == nrows:
             break
     return rank
+
+
+def dense_to_columns(mat) -> list[dict[int, int]]:
+    """The columns {row: entry} of a dense matrix given as a list of rows,
+    zero entries left out."""
+    ncols = len(mat[0]) if mat else 0
+    return [{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(ncols)]
+
+
+def brute_force_maximal_faces(faces) -> tuple[tuple[int, ...], ...]:
+    """The distinct faces of a list that lie in no other face of it, sorted;
+    every pair of faces is compared."""
+    distinct = {tuple(sorted(f)) for f in faces}
+    return tuple(sorted(f for f in distinct if not any(set(f) < set(g) for g in distinct)))
 
 
 def brute_force_betti(facets) -> tuple[int, ...]:

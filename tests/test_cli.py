@@ -183,6 +183,27 @@ def test_facet_file_with_too_many_faces_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("huge.json  error: ")
 
 
+def test_non_utf8_facet_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["invariants", str(path)]) == 64
+    assert capsys.readouterr().err == f"ubckit: {path}: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def test_sweep_continues_past_non_utf8_file(tmp_path, capsys):
+    _gen(tmp_path, "boundary-simplex 4", "a.json")
+    (tmp_path / "b.json").write_bytes(b"\xff\xfe{")
+    _gen(tmp_path, "cyclic 4 8", "c.json")
+    capsys.readouterr()
+    code = main(["sweep", "ubc", str(tmp_path)])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("a.json") and lines[0].endswith("pass")
+    assert lines[1] == f"b.json  error: {tmp_path / 'b.json'}: not UTF-8 text: invalid start byte at byte 0"
+    assert lines[2].startswith("c.json") and lines[2].endswith("pass")
+    assert lines[3].startswith("# ubc: 2 pass, 0 fail, 0 hypotheses-not-met, 1 error")
+    assert code == 64
+
+
 def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
     path = _gen(tmp_path, "boundary-simplex 3", "s.json")
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_data import CORPUS
-from oracles import brute_force_f_vector, scan_link
+from oracles import brute_force_f_vector, brute_force_maximal_faces, scan_link
 from ubckit import SimplicialComplex, build_complex, normalize_face
 
 
@@ -34,6 +34,25 @@ def test_build_boundary_simplex_from_subsets():
 def test_non_maximal_faces_absorbed():
     sc = build_complex([[0, 1], [0], [1], [0, 1]])
     assert sc.facets == ((0, 1),)
+
+
+@st.composite
+def face_lists(draw):
+    """Faces of mixed sizes in any order and vertex order, with duplicates
+    and faces nested in other faces of the list."""
+    base = draw(st.lists(st.sets(st.integers(0, 9), max_size=6), min_size=1, max_size=10))
+    faces = list(base)
+    for face in draw(st.lists(st.sampled_from(base), max_size=6)):
+        keep = draw(st.lists(st.booleans(), min_size=len(face), max_size=len(face)))
+        faces.append({v for v, k in zip(sorted(face), keep) if k})
+    faces += draw(st.lists(st.sampled_from(base), max_size=4))
+    return [draw(st.permutations(sorted(face))) for face in draw(st.permutations(faces))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_lists())
+def test_absorption_keeps_the_maximal_faces(faces):
+    assert SimplicialComplex(faces).facets == brute_force_maximal_faces(faces)
 
 
 def test_duplicate_vertex_rejected():
@@ -138,10 +157,12 @@ def test_link_matches_scan_oracle(sc):
             link = sc.link(face)
             _assert_same_complex(link, scan_link(sc, face))
             assert sc.link(face[::-1]) == link
+            assert sc._face_link(face) is link
             # links of a link come from the complex's table as lk(F + G)
             for j in range(-1, link.dim + 1):
                 for g in link.faces(j):
                     _assert_same_complex(link.link(g), scan_link(link, g))
+                    assert link._face_link(g) is link.link(g)
 
 
 def test_link_table_returns_one_object_per_face():

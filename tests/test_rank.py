@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ubckit
-from oracles import brute_force_betti, rank_fraction
+from oracles import brute_force_betti, dense_to_columns, rank_fraction
 from ubckit import (
     betti_numbers,
+    boundary_matrix,
     build_complex,
     cone,
+    connected_components,
     cross_polytope,
     gale_facets,
     join,
@@ -54,20 +56,26 @@ def low_rank_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_rank_matches_fraction_oracle(mat):
-    assert matrix_rank(mat) == rank_fraction(mat)
+    assert matrix_rank(dense_to_columns(mat)) == rank_fraction(mat)
 
 
 @settings(max_examples=300, deadline=None)
 @given(low_rank_products())
 def test_rank_of_low_rank_products(mat):
-    assert matrix_rank(mat) == rank_fraction(mat)
+    assert matrix_rank(dense_to_columns(mat)) == rank_fraction(mat)
 
 
 def test_rank_leaves_input_unchanged():
-    mat = [[2, 4, 0], [1, 3, 5], [0, 6, 2]]
-    copy = [list(row) for row in mat]
-    matrix_rank(mat)
-    assert mat == copy
+    # the second column reduces in place (pivot entry 1), the fourth after
+    # scaling (pivot entry 6)
+    columns = dense_to_columns([[2, 4, 0, 1], [1, 2, 5, 3], [0, 0, 6, 2]])
+    copy = [dict(column) for column in columns]
+    assert matrix_rank(columns) == 3
+    assert columns == copy
+
+
+def test_rank_ignores_zero_entries():
+    assert matrix_rank([{0: 0, 1: 2}, {0: 0}, {1: 4, 2: 0}]) == 1
 
 
 FACETS = st.lists(
@@ -80,6 +88,15 @@ FACETS = st.lists(
 def test_betti_matches_brute_force(facets):
     sc = build_complex(facets)
     assert betti_numbers(sc).entries == brute_force_betti(sc.facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FACETS)
+def test_low_boundary_ranks_have_closed_forms(facets):
+    # betti_numbers takes these two ranks without elimination
+    sc = build_complex(facets)
+    assert matrix_rank(boundary_matrix(sc, 0)) == 1
+    assert matrix_rank(boundary_matrix(sc, 1)) == sc.n_vertices - connected_components(sc)
 
 
 @pytest.mark.parametrize("build", [cone, suspension], ids=["cone", "suspension"])
