@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import generate
 from .facetfile import FacetFileError, load_complex, render_facet_text
 from .homology import betti_numbers, classify
 from .vectors import h_from_f, short_h_from_f
@@ -102,10 +101,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .corpus import generate  # only gen needs the generators
+
     name, sc = generate(" ".join(args.spec))
     text = render_facet_text(name, sc)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as e:
+            raise FacetFileError(f"cannot write {args.output}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0

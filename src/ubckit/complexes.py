@@ -206,6 +206,13 @@ class SimplicialComplex:
         missing = [v for v in self._vertices if v not in mapping]
         if missing:
             raise ValueError(f"mapping is missing vertices {missing}")
+        first: dict[int, int] = {}
+        for v in self._vertices:
+            u = first.setdefault(mapping[v], v)
+            if u != v:
+                raise ValueError(
+                    f"mapping is not injective: vertices {u} and {v} both map to {mapping[v]}"
+                )
         return SimplicialComplex(
             tuple(mapping[v] for v in facet) for facet in self._facets
         )

@@ -18,6 +18,8 @@ from .complexes import SimplicialComplex, normalize_face
 
 
 MAX_FACES = 2**20
+_DECODER = json.JSONDecoder()
+_SEPARATOR = re.compile(r"\s*,\s*")
 
 
 class FacetFileError(ValueError):
@@ -26,25 +28,22 @@ class FacetFileError(ValueError):
 
 
 def _facet_line(text: str, index: int) -> int | None:
-    """1-based line of the index-th entry of the facets array, if findable."""
-    m = re.search(r'"facets"\s*:\s*\[', text)
+    """1-based line of the index-th entry of the facets array, if findable.
+    Every entry counts, whatever its JSON type; the decoder skips each one."""
+    m = re.search(r'"facets"\s*:\s*\[\s*', text)
     if m is None:
         return None
-    depth = 0
-    count = -1
-    for offset in range(m.end() - 1, len(text)):
-        ch = text[offset]
-        if ch == "[":
-            depth += 1
-            if depth == 2:
-                count += 1
-                if count == index:
-                    return text.count("\n", 0, offset) + 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                break
-    return None
+    pos = m.end()
+    for _ in range(index):
+        try:
+            pos = _DECODER.raw_decode(text, pos)[1]
+        except ValueError:
+            return None
+        m = _SEPARATOR.match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+    return text.count("\n", 0, pos) + 1
 
 
 def _at_line(text: str, index: int) -> str:

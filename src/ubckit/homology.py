@@ -16,8 +16,8 @@ complex itself: its link table and the Betti numbers memoized on every link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .complexes import Face, SimplicialComplex
 from .vectors import _ExactVector
@@ -126,8 +126,7 @@ def betti_numbers(sc: SimplicialComplex) -> BettiVector:
     return bv
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A face (None when the whole complex is at fault) plus the reason a
     check failed on it."""
 
@@ -344,8 +343,7 @@ _FLAG_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Tri-state classifier flags for one complex.
 
     Every False flag carries a witness in ``witnesses``; None means the

@@ -10,7 +10,7 @@ overall outcome is "hypotheses-not-met" (exit code 2) rather than "fail"
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import SimplicialComplex
 from .cyclic import cyclic_h
@@ -26,8 +26,7 @@ from .homology import (
 from .vectors import HVector, f_from_h, h_from_f, short_h_from_f
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     condition: str
     status: bool | None  # None = not applicable
     witness: str | None = None
@@ -37,8 +36,7 @@ class Hypothesis:
         return {"condition": self.condition, "status": status, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     label: str
     left: int
     right: int
@@ -52,8 +50,7 @@ class Inequality:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     statement: str
     hypotheses: tuple[Hypothesis, ...]
     conclusions: tuple[Inequality, ...]

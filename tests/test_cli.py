@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -150,6 +153,48 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     bad.write_text('{"name": "x", "facets": [[0, 0]]}')
     assert main(["invariants", str(bad)]) == 64
     capsys.readouterr()
+
+
+def test_gen_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    assert main(["gen", "cyclic", "4", "8", "-o", str(target)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"ubckit: cannot write {target}: ") and err.count("\n") == 1
+    assert "internal error" not in err
+    assert main(["gen", "cyclic", "4", "8", "-o", str(tmp_path)]) == 64
+    assert f"cannot write {tmp_path}: " in capsys.readouterr().err
+
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from ubckit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(m for m in ("dataclasses", "ubckit.corpus") if m in sys.modules)))
+"""
+
+
+def _loaded_after(*argv) -> list[str]:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # start-up budget: dataclasses and the generators stay out of
+    # invariants and classify; gen is the one command that needs corpus
+    path = tmp_path / "t7.json"
+    save_complex(path, "torus-7", torus_7())
+    assert _loaded_after("invariants", str(path)) == []
+    assert _loaded_after("classify", str(path)) == []
+    assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus"]
 
 
 def test_deeply_nested_spec_is_a_usage_error(capsys):

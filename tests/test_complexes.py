@@ -248,6 +248,16 @@ def test_relabeled_preserves_structure():
     assert moved != sc
 
 
+def test_relabeled_rejects_a_non_injective_mapping():
+    from ubckit import cross_polytope
+
+    with pytest.raises(ValueError, match="vertices 0 and 1 both map to 0"):
+        cross_polytope(2).relabeled({0: 0, 1: 0, 2: 2, 3: 3})
+    # only the restriction to the complex's vertices has to be injective
+    moved = cross_polytope(2).relabeled({0: 4, 1: 5, 2: 6, 3: 7, 9: 4})
+    assert moved.vertices == (4, 5, 6, 7)
+
+
 def test_concurrent_first_lattice_access():
     sc = SimplicialComplex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 3, 4]])
     results = []

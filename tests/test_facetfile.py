@@ -68,6 +68,13 @@ def test_semantic_errors_name_line():
 def test_non_array_facet():
     with pytest.raises(FacetFileError, match="facet #0"):
         parse_facet_text('{"name": "x", "facets": ["ab"]}')
+    # every entry of the facets array counts towards the line, not only arrays
+    with pytest.raises(FacetFileError, match=r"facet #0 is not an array \(line 2\)"):
+        parse_facet_text('{"name": "x", "facets": [\n 7,\n [0, 1] ]}')
+    for entry in ("7", '"[2], [3]"', '"a\\"]"', "null", '{"a": [1]}'):
+        text = '{"name": "x", "facets": [\n [0],\n ' + entry + ',\n [0, 1]\n]}'
+        with pytest.raises(FacetFileError, match=r"facet #1 is not an array \(line 3\)"):
+            parse_facet_text(text)
 
 
 def test_missing_file(tmp_path):
