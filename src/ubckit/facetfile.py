@@ -101,7 +101,7 @@ def load_complex(path) -> tuple[str, SimplicialComplex]:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
-        raise FacetFileError(f"cannot read {path}: {e}") from None
+        raise FacetFileError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise FacetFileError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
     try:

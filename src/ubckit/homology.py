@@ -12,6 +12,13 @@ The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
 first within its dimension).  The classifiers share work only through the
 complex itself: its link table and the Betti numbers memoized on every link.
+
+The top-down order also makes the sphere test of a link cheap.  A face is
+tested only after all its cofaces passed, and the cofaces of F are the faces
+of lk(F), so lk(F) is then a homology manifold; up to dimension 2 such a
+link is a sphere by counting alone (:func:`_is_sphere_manifold`).  The same
+walk, skipping a face once each of its vertices has a failing face, checks
+every vertex link of a complex in one pass (:func:`_non_sphere_links`).
 """
 
 from __future__ import annotations
@@ -177,12 +184,70 @@ def _eulerian_condition(sc: SimplicialComplex, include_empty: bool):
     return True, None
 
 
-def _is_sphere_betti(link: SimplicialComplex, m: int) -> bool:
-    # reduced homology of the m-sphere; m = -1 means the empty complex
-    if link.dim != m:
-        return False
+def _is_sphere_betti(sc: SimplicialComplex) -> bool:
+    # reduced homology of the sphere of its dimension; -1 is the empty complex
+    b = betti_numbers(sc)
+    return all(entry == (1 if i == sc.dim else 0) for i, entry in b.items())
+
+
+def _is_sphere_manifold(link: SimplicialComplex) -> bool:
+    """Whether a homology manifold has the reduced homology of the sphere of
+    its dimension m.
+
+    Precondition: the link is pure, and the link of each of its nonempty
+    faces has the reduced homology of a sphere of complementary dimension.
+    Then up to m = 2 no rank is needed:
+
+    - m = -1: the empty complex {()} is the (-1)-sphere.
+    - m = 0: b_0 = f_0 - 1, so it is the 0-sphere exactly with 2 vertices.
+    - m = 1: every vertex link is a 0-sphere, so every vertex has degree 2
+      and each component is a cycle; it is the 1-sphere exactly when
+      connected.
+    - m = 2: every edge lies in exactly two triangles and every vertex link
+      is a connected cycle, so a connected such complex is a strongly
+      connected pseudomanifold, whose 2-cycles over Q are multiples of one
+      cycle: b_2 <= 1.  Connected means b_0 = 0, so chi = 1 - b_1 + b_2, and
+      chi = 2 holds exactly when b_1 = 0 and b_2 = 1.
+
+    From m = 3 on the Betti numbers are computed.
+    """
+    m = link.dim
+    if m <= 0:
+        return m == -1 or link.n_vertices == 2
+    if m == 1:  # the facets are the edges: no face lattice needed
+        return _count_classes(link.vertices, link.facets) == 1
+    if m == 2:
+        return connected_components(link) == 1 and link.euler_characteristic() == 2
+    return _is_sphere_betti(link)
+
+
+def _non_sphere_links(sc: SimplicialComplex, lowest: int):
+    """Yield (F, lk F), top-down over the faces of a pure complex of
+    dimension dim .. lowest (lowest >= 0), for each F whose link is not a
+    homology sphere of dimension dim - |F|.  A face is skipped once each of
+    its vertices lies in a face already yielded.
+
+    A face F that is tested has a vertex in no yielded face, so each coface
+    of F was tested before it and passed: lk(F) meets the precondition of
+    :func:`_is_sphere_manifold`.
+    """
+    covered: set[int] = set()
+    for i in range(sc.dim, lowest - 1, -1):
+        for face in sc.faces(i):
+            if covered.issuperset(face):
+                continue
+            link = sc._face_link(face)
+            if not _is_sphere_manifold(link):
+                covered.update(face)
+                yield face, link
+
+
+def _not_a_sphere(link: SimplicialComplex) -> str:
     b = betti_numbers(link)
-    return all(entry == (1 if i == m else 0) for i, entry in b.items())
+    return (
+        f"link has reduced Betti numbers {list(b.entries)} "
+        f"(indices -1..{link.dim}), not those of a {link.dim}-sphere"
+    )
 
 
 def _count_classes(items, pairs) -> int:
@@ -216,16 +281,10 @@ def is_homology_manifold(sc: SimplicialComplex):
     """
     if not sc.is_pure:
         return None, None, Witness(None, "complex is not pure")
-    for face in _faces_top_down(sc, include_empty=False):
-        link = sc._face_link(face)
-        m = sc.dim - len(face)
-        if not _is_sphere_betti(link, m):
-            b = betti_numbers(link)
-            return False, None, Witness(
-                face,
-                f"link has reduced Betti numbers {list(b.entries)} "
-                f"(indices -1..{link.dim}), not those of a {m}-sphere",
-            )
+    failure = next(_non_sphere_links(sc, 0), None)
+    if failure is not None:
+        face, link = failure
+        return False, None, Witness(face, _not_a_sphere(link))
     orientable = betti_numbers(sc)[sc.dim] == connected_components(sc) if sc.dim >= 0 else None
     return True, orientable, None
 
@@ -233,7 +292,7 @@ def is_homology_manifold(sc: SimplicialComplex):
 def is_homology_sphere(sc: SimplicialComplex) -> bool:
     """Homology manifold whose global reduced homology is a sphere's."""
     flag, _, _ = is_homology_manifold(sc)
-    return bool(flag) and _is_sphere_betti(sc, sc.dim)
+    return bool(flag) and _is_sphere_betti(sc)
 
 
 def is_pseudomanifold(sc: SimplicialComplex):
@@ -390,7 +449,7 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     pm, pm_orient, pm_w = is_pseudomanifold(sc)
     cm, cm_w = is_cohen_macaulay(sc)
     bb, bb_w = is_buchsbaum(sc)
-    sphere = bool(hm) and _is_sphere_betti(sc, sc.dim)
+    sphere = bool(hm) and _is_sphere_betti(sc)
 
     if hm:
         orientable = hm_orient

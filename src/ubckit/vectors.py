@@ -10,8 +10,11 @@ of all vertex links.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # fractions (and decimal with it) loads only where a Fraction is built
+    from fractions import Fraction
 
 
 def binomial(a: int, b: int) -> int:
@@ -200,6 +203,8 @@ def beta_integral(i: int, r: int) -> Fraction:
     and cross-checked against the Beta-function closed form
     (-1)^(r-i-1) i! (r-i-1)! / r!.
     """
+    from fractions import Fraction
+
     if not 0 <= i < r:
         raise ValueError(f"need 0 <= i < r, got i={i}, r={r}")
     value = sum(
@@ -231,6 +236,8 @@ def h_from_short_h(sh: ShortHVector, k: int, r: int) -> Fraction:
     h_r = (-1)^r C(2k+2, r) + sum_{i=0..r-1} sh_i * short_h_coefficient(k, r, i).
     Exact rational; the result is an integer for every genuine complex.
     """
+    from fractions import Fraction
+
     d = 2 * k + 2
     if sh.d != d:
         raise ValueError(
@@ -255,6 +262,8 @@ def lower_bound_coeff(d: int, i: int, l: int) -> Fraction:
     For 0 <= l <= i <= floor((d-1)/2) these are all non-negative, which is
     what makes the skeleton lower bounds work.
     """
+    from fractions import Fraction
+
     if not 0 <= l <= i <= d - 1:
         raise ValueError(f"need 0 <= l <= i <= d-1, got d={d}, i={i}, l={l}")
     return sum(

@@ -16,7 +16,10 @@ from .complexes import SimplicialComplex
 from .cyclic import cyclic_h
 from .homology import (
     _middle_betti_bound,
+    _non_sphere_links,
+    _not_a_sphere,
     betti_numbers,
+    connected_components,
     is_buchsbaum,
     is_eulerian,
     is_homology_manifold,
@@ -100,19 +103,19 @@ def _odd_dimension_k(sc: SimplicialComplex) -> int:
 
 
 def _admissible_link_theorem(link: SimplicialComplex, k: int):
-    """Theorem-route admissibility of one vertex link: a homology manifold
-    that either has Euler characteristic 2 (homology-sphere links land here)
-    or is orientable with the middle Betti bound."""
-    flag, orientable, wit = is_homology_manifold(link)
-    if not flag:
-        return False, f"link is not a homology manifold: {wit.reason}"
+    """Theorem-route admissibility of a vertex link already known to be a
+    homology manifold: Euler characteristic 2 (homology-sphere links land
+    here), or orientable with the middle Betti bound.  The Betti numbers
+    are computed only when chi != 2."""
     chi = link.euler_characteristic()
+    if chi == 2:
+        return True, None
     b = betti_numbers(link)
     bound = _middle_betti_bound(b, k)
-    if chi == 2 or (orientable and b[k] <= bound):
-        return True, None
-    if not orientable:
+    if b[link.dim] != connected_components(link):
         return False, f"chi(link) = {chi} != 2 and the link is not orientable"
+    if b[k] <= bound:
+        return True, None
     return False, (
         f"chi(link) = {chi} != 2 and the middle Betti bound fails: "
         f"beta_{k} = {b[k]} > {bound}"
@@ -120,12 +123,14 @@ def _admissible_link_theorem(link: SimplicialComplex, k: int):
 
 
 def _admissible_link_corollary(link: SimplicialComplex, k: int):
-    flag, _, wit = is_homology_manifold(link)
-    if not flag:
-        return False, f"link is not a homology manifold: {wit.reason}"
+    """Corollary-route admissibility of a vertex link already known to be a
+    homology manifold: (-1)^k (chi - 2) <= 0, or vanishing middle homology.
+    The Betti numbers are computed only when the first test fails."""
     chi = link.euler_characteristic()
+    if (-1) ** k * (chi - 2) <= 0:
+        return True, None
     middle = betti_numbers(link)[k]
-    if middle == 0 or (-1) ** k * (chi - 2) <= 0:
+    if middle == 0:
         return True, None
     return False, (
         f"beta_{k}(link) = {middle} != 0 and (-1)^{k}*(chi-2) = "
@@ -141,6 +146,15 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     corollary mode: the complex is an oriented pseudomanifold and every
     vertex link is a homology manifold with vanishing middle homology or
     with (-1)^k (chi - 2) <= 0.
+
+    The vertex links are checked in one top-down pass over the faces of
+    dimension dim .. 1 (:func:`~ubckit.homology._non_sphere_links`), not
+    one :func:`is_homology_manifold` per link.  The faces of lk(v) are the
+    G - v for faces G containing v, with lk_{lk v}(G - v) = lk(G), and on
+    faces containing v the order (-dim, G) is the order (-dim, G - v); so
+    the first failing face found for v, and its reason, are the ones
+    is_homology_manifold(lk v) reports.  A face is skipped once each of its
+    vertices has failed.
     """
     if mode not in ("theorem", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -155,9 +169,17 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
         elif not orientable:
             reason = "pseudomanifold is not orientable"
         items.append(Hypothesis("complex is an oriented pseudomanifold", ok, reason))
+    failures: dict[int, str] = {}
+    for face, link in _non_sphere_links(sc, 1):
+        reason = f"link is not a homology manifold: {_not_a_sphere(link)}"
+        for v in face:
+            failures.setdefault(v, reason)
     check = _admissible_link_theorem if mode == "theorem" else _admissible_link_corollary
     for v in sc.vertices:
-        ok, reason = check(sc.link((v,)), k)
+        if v in failures:
+            ok, reason = False, failures[v]
+        else:
+            ok, reason = check(sc._face_link((v,)), k)
         items.append(Hypothesis(f"link of vertex {v} is admissible", ok, reason))
     return tuple(items)
 

@@ -9,7 +9,9 @@ a scan over every facet rebuilt through the full constructor, and a test of
 Gale's evenness condition on every d-subset.  The maximal faces of a face
 list come from comparing every pair.  ``dense_to_columns`` turns a dense
 matrix into the sparse column input of ``matrix_rank``; ``rank_fraction``
-itself stays dense.
+itself stays dense.  ``per_vertex_ubc_hypotheses`` is the UBC hypothesis
+check done one vertex link at a time, every face link rebuilt by
+``scan_link`` and its homology taken from ``brute_force_betti``.
 """
 
 from __future__ import annotations
@@ -178,3 +180,75 @@ def brute_force_gale_facets(d: int, n: int) -> tuple[tuple[int, ...], ...]:
         ):
             facets.append(subset)
     return tuple(facets)
+
+
+def _sphere_failure(sc):
+    """The reason is_homology_manifold gives for a pure complex: the first
+    nonempty face, by (-dim, face), whose link does not have the reduced
+    Betti numbers of a sphere of complementary dimension; None if none."""
+    for size in range(sc.dim + 1, 0, -1):
+        for face in combinations(sc.vertices, size):
+            if not any(set(face) <= set(f) for f in sc.facets):
+                continue
+            link = scan_link(sc, face)
+            m = sc.dim - size
+            b = brute_force_betti(link.facets)
+            if link.dim != m or b != (0,) * (m + 1) + (1,):
+                return (
+                    f"link has reduced Betti numbers {list(b)} "
+                    f"(indices -1..{link.dim}), not those of a {m}-sphere"
+                )
+    return None
+
+
+def _admissible(link, k: int, mode: str):
+    failure = _sphere_failure(link)
+    if failure is not None:
+        return False, f"link is not a homology manifold: {failure}"
+    f = brute_force_f_vector(link.facets)
+    chi = sum((-1) ** i * f[i + 1] for i in range(len(f) - 1))
+    b = brute_force_betti(link.facets)  # b[i + 1] is the reduced b_i
+
+    if mode == "corollary":
+        middle = b[k + 1]
+        if middle == 0 or (-1) ** k * (chi - 2) <= 0:
+            return True, None
+        return False, (
+            f"beta_{k}(link) = {middle} != 0 and (-1)^{k}*(chi-2) = "
+            f"{(-1) ** k * (chi - 2)} > 0"
+        )
+    orientable = b[-1] == b[1] + 1  # top Betti number = number of components
+    bound = 2 * b[k] + 2 * sum(b[i + 1] for i in range(0, k - 2))
+    if chi == 2 or (orientable and b[k + 1] <= bound):
+        return True, None
+    if not orientable:
+        return False, f"chi(link) = {chi} != 2 and the link is not orientable"
+    return False, (
+        f"chi(link) = {chi} != 2 and the middle Betti bound fails: "
+        f"beta_{k} = {b[k + 1]} > {bound}"
+    )
+
+
+def per_vertex_ubc_hypotheses(sc, mode: str = "theorem"):
+    """check_ubc_hypotheses for a pure (2k+1)-dimensional complex with one
+    homology-manifold test per vertex link: the faces of lk(v) are scanned
+    top-down on their own, so each face G of the complex is visited once per
+    vertex of G."""
+    from ubckit import Hypothesis, is_pseudomanifold
+
+    k = (sc.dim - 1) // 2
+    items = []
+    if mode == "corollary":
+        pm, orientable, wit = is_pseudomanifold(sc)
+        reason = None
+        if not pm:
+            reason = wit.reason
+        elif not orientable:
+            reason = "pseudomanifold is not orientable"
+        items.append(
+            Hypothesis("complex is an oriented pseudomanifold", bool(pm) and bool(orientable), reason)
+        )
+    for v in sc.vertices:
+        ok, reason = _admissible(scan_link(sc, (v,)), k, mode)
+        items.append(Hypothesis(f"link of vertex {v} is admissible", ok, reason))
+    return tuple(items)

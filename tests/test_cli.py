@@ -10,10 +10,11 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubckit import cli, save_complex, torus_7
+from ubckit import build_complex, cli, gale_facets, generate, save_complex, torus_7
 from ubckit.cli import main
 from ubckit.corpus import _GENERATORS
 from ubckit.facetfile import MAX_FACES
@@ -170,7 +171,8 @@ import contextlib, io, json, sys
 from ubckit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
-print(json.dumps(sorted(m for m in ("dataclasses", "ubckit.corpus") if m in sys.modules)))
+watched = ("dataclasses", "decimal", "fractions", "ubckit.corpus")
+print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
 
 
@@ -188,12 +190,16 @@ def _loaded_after(*argv) -> list[str]:
 
 
 def test_commands_load_only_what_they_run(tmp_path):
-    # start-up budget: dataclasses and the generators stay out of
-    # invariants and classify; gen is the one command that needs corpus
+    # start-up budget: dataclasses, fractions (with decimal) and the
+    # generators stay out of invariants, classify and verify ubc; gen is the
+    # one command that needs corpus
     path = tmp_path / "t7.json"
     save_complex(path, "torus-7", torus_7())
+    sphere = tmp_path / "c48.json"
+    save_complex(sphere, "cyclic-4-8", gale_facets(4, 8))
     assert _loaded_after("invariants", str(path)) == []
     assert _loaded_after("classify", str(path)) == []
+    assert _loaded_after("verify", "ubc", str(sphere)) == []
     assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus"]
 
 
@@ -247,6 +253,19 @@ def test_sweep_continues_past_non_utf8_file(tmp_path, capsys):
     assert lines[2].startswith("c.json") and lines[2].endswith("pass")
     assert lines[3].startswith("# ubc: 2 pass, 0 fail, 0 hypotheses-not-met, 1 error")
     assert code == 64
+
+
+def test_unreadable_facet_file_names_the_path_once(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert main(["invariants", str(missing)]) == 64
+    assert capsys.readouterr().err == f"ubckit: cannot read {missing}: No such file or directory\n"
+    _gen(tmp_path, "boundary-simplex 4", "a.json")
+    (tmp_path / "b.json").mkdir()  # the sweep's *.json glob matches it
+    capsys.readouterr()
+    assert main(["sweep", "ubc", str(tmp_path)]) == 64
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"b.json  error: cannot read {tmp_path / 'b.json'}: Is a directory"
+    assert lines[1].count(str(tmp_path)) == 1
 
 
 def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
@@ -303,6 +322,35 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     main(["verify", "ubc", str(path)])
     second = capsys.readouterr().out
     assert first == second
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _minus_facet():
+    sc = gale_facets(4, 8)
+    return "cyclic-4-8-minus-facet", build_complex(sc.facets[1:])
+
+
+@pytest.mark.parametrize(
+    "make, golden",
+    [
+        (_minus_facet, "verify-ubc-cyclic-4-8-minus-facet.json"),
+        # the suspension apexes and the wedge point meet in edges whose link
+        # is two disjoint triangles
+        (
+            lambda: generate("suspension(wedge(boundary-simplex(3),boundary-simplex(3)))"),
+            "verify-ubc-singular-edge-link.json",
+        ),
+    ],
+    ids=["minus-facet", "singular-edge-link"],
+)
+def test_verify_ubc_witnesses_are_pinned(tmp_path, capsys, make, golden):
+    name, sc = make()
+    path = tmp_path / "c.json"
+    save_complex(path, name, sc)
+    assert main(["verify", "ubc", str(path)]) == 2
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 _COMMANDS = [["invariants"], ["classify"]] + [["verify", name] for name in sorted(VERIFIERS)]
