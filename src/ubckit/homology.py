@@ -10,15 +10,18 @@ exact.
 
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
-first within its dimension).  The classifiers share work only through the
-complex itself: its link table and the Betti numbers memoized on every link.
+first within its dimension).  They share the complex's link table and the
+Betti numbers memoized on every link.
 
 The top-down order also makes the sphere test of a link cheap.  A face is
 tested only after all its cofaces passed, and the cofaces of F are the faces
 of lk(F), so lk(F) is then a homology manifold; up to dimension 2 such a
-link is a sphere by counting alone (:func:`_is_sphere_manifold`).  The same
-walk, skipping a face once each of its vertices has a failing face, checks
-every vertex link of a complex in one pass (:func:`_non_sphere_links`).
+link is a sphere by counting alone (:func:`_is_sphere_manifold`).  One lazy
+walk records which links are such spheres (:func:`_link_records`), and
+:func:`classify` reads every link condition off it: a sphere link needs no
+Euler characteristic and no Betti numbers.  A variant skipping a face once
+each of its vertices has a failing face checks every vertex link in one
+pass (:func:`_non_sphere_links`).
 """
 
 from __future__ import annotations
@@ -154,10 +157,6 @@ def _faces_top_down(sc: SimplicialComplex, include_empty: bool):
         yield ()
 
 
-def _sphere_chi(dim: int) -> int:
-    return 1 + (-1) ** dim
-
-
 def is_eulerian(sc: SimplicialComplex):
     """Every face link, the empty face included, has the Euler characteristic
     of the sphere of its dimension.  Returns (flag, witness); the flag is
@@ -174,14 +173,17 @@ def _eulerian_condition(sc: SimplicialComplex, include_empty: bool):
     if not sc.is_pure:
         return None, Witness(None, "complex is not pure")
     for face in _faces_top_down(sc, include_empty):
-        link = sc._face_link(face)
-        chi = link.euler_characteristic()
-        expected = _sphere_chi(link.dim)
-        if chi != expected:
-            return False, Witness(
-                face, f"chi(link) = {chi}, expected {expected} for dimension {link.dim}"
-            )
+        wit = _euler_failure(face, sc._face_link(face))
+        if wit:
+            return False, wit
     return True, None
+
+
+def _euler_failure(face: Face, link: SimplicialComplex) -> Witness | None:
+    chi, expected = link.euler_characteristic(), 1 + (-1) ** link.dim
+    if chi != expected:
+        return Witness(face, f"chi(link) = {chi}, expected {expected} for dimension {link.dim}")
+    return None
 
 
 def _is_sphere_betti(sc: SimplicialComplex) -> bool:
@@ -209,16 +211,44 @@ def _is_sphere_manifold(link: SimplicialComplex) -> bool:
       cycle: b_2 <= 1.  Connected means b_0 = 0, so chi = 1 - b_1 + b_2, and
       chi = 2 holds exactly when b_1 = 0 and b_2 = 1.
 
-    From m = 3 on the Betti numbers are computed.
+    Up to m = 2 connectivity and chi (:func:`_manifold_chi`) are read off
+    the facets, so no face lattice is built.  From m = 3 on the Betti
+    numbers are computed.
     """
     m = link.dim
     if m <= 0:
         return m == -1 or link.n_vertices == 2
-    if m == 1:  # the facets are the edges: no face lattice needed
-        return _count_classes(link.vertices, link.facets) == 1
-    if m == 2:
-        return connected_components(link) == 1 and link.euler_characteristic() == 2
+    if m <= 2:
+        edges = [(f[0], v) for f in link.facets for v in f[1:]]
+        return _count_classes(link.vertices, edges) == 1 and (m == 1 or _manifold_chi(link) == 2)
     return _is_sphere_betti(link)
+
+
+def _manifold_chi(link: SimplicialComplex) -> int:
+    """Euler characteristic of a homology manifold.  In dimension 2 every
+    edge link is a 0-sphere, so each edge lies in exactly two triangles,
+    2 f_1 = 3 f_2 and chi = f_0 - f_1 + f_2 = f_0 - f_2 / 2: no face lattice."""
+    if link.dim == 2:
+        return link.n_vertices - len(link.facets) // 2
+    return link.euler_characteristic()
+
+
+def _link_records(sc: SimplicialComplex):
+    """Yield (F, lk F, sphere) lazily, top-down over the nonempty faces.
+
+    sphere is :func:`_is_sphere_manifold` of lk F when the complex is pure
+    and every face F + v one dimension up had sphere True: by induction all
+    cofaces of F passed, so lk F is a homology manifold.  Otherwise sphere
+    is None, untested; the first face whose sphere is not True has a bool.
+    """
+    pure = sc.is_pure
+    failed: set[Face] = set()  # faces with a coface one dimension up not a sphere
+    for face in _faces_top_down(sc, include_empty=False):
+        link = sc._face_link(face)
+        sphere = _is_sphere_manifold(link) if pure and face not in failed else None
+        if pure and not sphere:
+            failed.update(face[:m] + face[m + 1 :] for m in range(len(face)))
+        yield face, link, sphere
 
 
 def _non_sphere_links(sc: SimplicialComplex, lowest: int):
@@ -285,8 +315,12 @@ def is_homology_manifold(sc: SimplicialComplex):
     if failure is not None:
         face, link = failure
         return False, None, Witness(face, _not_a_sphere(link))
-    orientable = betti_numbers(sc)[sc.dim] == connected_components(sc) if sc.dim >= 0 else None
-    return True, orientable, None
+    return True, _is_orientable(sc) if sc.dim >= 0 else None, None
+
+
+def _is_orientable(sc: SimplicialComplex) -> bool:
+    # unreduced top Betti number = components; reduced b_0 is one less
+    return betti_numbers(sc)[sc.dim] + (sc.dim == 0) == connected_components(sc)
 
 
 def is_homology_sphere(sc: SimplicialComplex) -> bool:
@@ -313,7 +347,7 @@ def is_pseudomanifold(sc: SimplicialComplex):
             return False, None, Witness(
                 None, f"a 0-pseudomanifold has exactly 2 vertices, found {sc.n_vertices}"
             )
-        return True, betti_numbers(sc)[0] == connected_components(sc), None
+        return True, _is_orientable(sc), None
 
     ridge_count: dict[Face, list[int]] = {}
     for idx, facet in enumerate(sc.facets):
@@ -334,8 +368,7 @@ def is_pseudomanifold(sc: SimplicialComplex):
             "facets are not ridge-connected within each component "
             f"({facet_groups} facet groups vs {connected_components(sc)} components)",
         )
-    orientable = betti_numbers(sc)[d] == connected_components(sc)
-    return True, orientable, None
+    return True, _is_orientable(sc), None
 
 
 def _middle_betti_bound(b: BettiVector, k: int) -> int:
@@ -358,29 +391,46 @@ def satisfies_betti_bound(sc: SimplicialComplex, k: int) -> bool:
     return b[k] <= _middle_betti_bound(b, k)
 
 
+def _reisner_failure(face: Face, link: SimplicialComplex) -> Witness | None:
+    b = betti_numbers(link)
+    for i in range(-1, link.dim):
+        if b[i] != 0:
+            return Witness(
+                face,
+                f"link has reduced Betti number {b[i]} in dimension {i} "
+                f"below its dimension {link.dim}",
+            )
+    return None
+
+
 def is_cohen_macaulay(sc: SimplicialComplex):
     """Reisner's criterion over the rationals: for every face, the empty
     face included, the link has vanishing reduced homology below its
-    dimension.  Returns (flag, witness)."""
-    for face in _faces_top_down(sc, include_empty=True):
-        link = sc._face_link(face)
-        b = betti_numbers(link)
-        for i in range(-1, link.dim):
-            if b[i] != 0:
-                return False, Witness(
-                    face,
-                    f"link has reduced Betti number {b[i]} in dimension {i} "
-                    f"below its dimension {link.dim}",
-                )
-    return True, None
+    dimension.  Returns (flag, witness).  A sphere link in
+    :func:`_link_records` passes with no Betti vector, and so does the empty
+    face of a homology manifold that is a sphere.
+    """
+    manifold = True
+    for face, link, sphere in _link_records(sc):
+        if not sphere:
+            manifold = False
+            wit = _reisner_failure(face, link)
+            if wit:
+                return False, wit
+    if manifold and _is_sphere_manifold(sc):
+        return True, None
+    wit = _reisner_failure((), sc)
+    return (False, wit) if wit else (True, None)
 
 
 def is_buchsbaum(sc: SimplicialComplex):
-    """Pure with every vertex link Cohen-Macaulay.  Returns (flag, witness)."""
+    """Pure with every vertex link Cohen-Macaulay.  Returns (flag, witness).
+    As lk_{lk v}(G) = lk(G + v), this is Reisner's condition on the nonempty
+    faces (Schenzel 1981); the first failing vertex link stops the check."""
     if not sc.is_pure:
         return False, Witness(None, "complex is not pure")
     for v in sc.vertices:
-        flag, inner = is_cohen_macaulay(sc.link((v,)))
+        flag, inner = is_cohen_macaulay(sc._face_link((v,)))
         if not flag:
             return False, Witness(
                 (v,), f"link of vertex {v} is not Cohen-Macaulay: {inner.reason}"
@@ -441,34 +491,41 @@ class ClassificationReport(NamedTuple):
 
 
 def classify(sc: SimplicialComplex) -> ClassificationReport:
-    """Run every classifier and assemble the report.  The homology-sphere
-    flag is read off the homology-manifold pass, which runs once."""
-    eul, eul_w = is_eulerian(sc)
-    semi, semi_w = is_semi_eulerian(sc)
-    hm, hm_orient, hm_w = is_homology_manifold(sc)
-    pm, pm_orient, pm_w = is_pseudomanifold(sc)
-    cm, cm_w = is_cohen_macaulay(sc)
-    bb, bb_w = is_buchsbaum(sc)
-    sphere = bool(hm) and _is_sphere_betti(sc)
+    """Run every classifier and assemble the report.
 
-    if hm:
-        orientable = hm_orient
-    elif pm:
-        orientable = pm_orient
-    else:
-        orientable = None
+    One walk of :func:`_link_records` finds the first face failing each of
+    the manifold, semi-Eulerian and Reisner conditions, and stops once all
+    three are found.  A sphere link has the sphere's chi and passes Reisner,
+    so chi and Betti numbers are computed only off the spheres.  Buchsbaum
+    is Reisner on the nonempty faces (:func:`is_buchsbaum`): it holds when
+    none failed, and otherwise is_buchsbaum runs for its witness.
+    """
+    pure = sc.is_pure
+    hm_w = semi_w = eul_w = cm_w = None
+    for face, link, sphere in _link_records(sc):
+        if sphere:
+            continue
+        if pure:
+            hm_w = hm_w or Witness(face, _not_a_sphere(link))
+            semi_w = semi_w or _euler_failure(face, link)
+        cm_w = cm_w or _reisner_failure(face, link)
+        if cm_w and (not pure or hm_w and semi_w):
+            break
+    hm = semi = eul = None
+    if pure:
+        eul_w = semi_w or _euler_failure((), sc)
+        hm, semi, eul = hm_w is None, semi_w is None, eul_w is None
+    sphere = bool(hm) and _is_sphere_manifold(sc)
+    bb, bb_w = is_buchsbaum(sc) if cm_w or not pure else (True, None)
+    if not (cm_w or sphere):
+        cm_w = _reisner_failure((), sc)
+    pm, _, pm_w = is_pseudomanifold(sc)
+    orientable = _is_orientable(sc) if (hm or pm) and sc.dim >= 0 else None
 
-    witnesses: dict[str, Witness] = {}
-    for flag, value, wit in (
-        ("eulerian", eul, eul_w),
-        ("semi_eulerian", semi, semi_w),
-        ("homology_manifold", hm, hm_w),
-        ("pseudomanifold", pm, pm_w),
-        ("cohen_macaulay", cm, cm_w),
-        ("buchsbaum", bb, bb_w),
-    ):
-        if value is False and wit is not None:
-            witnesses[flag] = wit
+    flags = ("eulerian", "semi_eulerian", "homology_manifold", "pseudomanifold",
+             "cohen_macaulay", "buchsbaum")
+    wits = (eul_w, semi_w, hm_w, pm_w if pm is False else None, cm_w, bb_w)
+    witnesses = {flag: wit for flag, wit in zip(flags, wits) if wit}
     if sphere is False:
         b = betti_numbers(sc)
         witnesses["homology_sphere"] = Witness(
@@ -491,7 +548,7 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
         homology_manifold=hm,
         orientable=orientable,
         pseudomanifold=pm,
-        cohen_macaulay=cm,
+        cohen_macaulay=cm_w is None,
         buchsbaum=bb,
         witnesses=witnesses,
     )

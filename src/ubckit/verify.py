@@ -15,11 +15,12 @@ from typing import NamedTuple
 from .complexes import SimplicialComplex
 from .cyclic import cyclic_h
 from .homology import (
+    _is_orientable,
+    _manifold_chi,
     _middle_betti_bound,
     _non_sphere_links,
     _not_a_sphere,
     betti_numbers,
-    connected_components,
     is_buchsbaum,
     is_eulerian,
     is_homology_manifold,
@@ -107,12 +108,12 @@ def _admissible_link_theorem(link: SimplicialComplex, k: int):
     homology manifold: Euler characteristic 2 (homology-sphere links land
     here), or orientable with the middle Betti bound.  The Betti numbers
     are computed only when chi != 2."""
-    chi = link.euler_characteristic()
+    chi = _manifold_chi(link)
     if chi == 2:
         return True, None
     b = betti_numbers(link)
     bound = _middle_betti_bound(b, k)
-    if b[link.dim] != connected_components(link):
+    if not _is_orientable(link):
         return False, f"chi(link) = {chi} != 2 and the link is not orientable"
     if b[k] <= bound:
         return True, None
@@ -126,7 +127,7 @@ def _admissible_link_corollary(link: SimplicialComplex, k: int):
     """Corollary-route admissibility of a vertex link already known to be a
     homology manifold: (-1)^k (chi - 2) <= 0, or vanishing middle homology.
     The Betti numbers are computed only when the first test fails."""
-    chi = link.euler_characteristic()
+    chi = _manifold_chi(link)
     if (-1) ** k * (chi - 2) <= 0:
         return True, None
     middle = betti_numbers(link)[k]

@@ -12,6 +12,10 @@ matrix into the sparse column input of ``matrix_rank``; ``rank_fraction``
 itself stays dense.  ``per_vertex_ubc_hypotheses`` is the UBC hypothesis
 check done one vertex link at a time, every face link rebuilt by
 ``scan_link`` and its homology taken from ``brute_force_betti``.
+``classify_by_definition``, ``reisner_cohen_macaulay`` and
+``vertex_link_buchsbaum`` are the classifiers one condition at a time, in
+the same way: every link rebuilt by ``scan_link``, its face counts from
+``brute_force_f_vector`` and its homology from ``brute_force_betti``.
 """
 
 from __future__ import annotations
@@ -182,29 +186,38 @@ def brute_force_gale_facets(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(facets)
 
 
-def _sphere_failure(sc):
-    """The reason is_homology_manifold gives for a pure complex: the first
-    nonempty face, by (-dim, face), whose link does not have the reduced
-    Betti numbers of a sphere of complementary dimension; None if none."""
+def _faces_top_down(sc, include_empty: bool):
+    """Every face of sc by (-dim, face), found by testing each vertex subset
+    against the facets; the empty face last when asked for."""
     for size in range(sc.dim + 1, 0, -1):
         for face in combinations(sc.vertices, size):
-            if not any(set(face) <= set(f) for f in sc.facets):
-                continue
-            link = scan_link(sc, face)
-            m = sc.dim - size
-            b = brute_force_betti(link.facets)
-            if link.dim != m or b != (0,) * (m + 1) + (1,):
-                return (
-                    f"link has reduced Betti numbers {list(b)} "
-                    f"(indices -1..{link.dim}), not those of a {m}-sphere"
-                )
+            if any(set(face) <= set(f) for f in sc.facets):
+                yield face
+    if include_empty:
+        yield ()
+
+
+def _sphere_failure(sc):
+    """The (face, reason) is_homology_manifold gives for a pure complex: the
+    first nonempty face, by (-dim, face), whose link does not have the
+    reduced Betti numbers of a sphere of complementary dimension; None if
+    none."""
+    for face in _faces_top_down(sc, include_empty=False):
+        link = scan_link(sc, face)
+        m = sc.dim - len(face)
+        b = brute_force_betti(link.facets)
+        if link.dim != m or b != (0,) * (m + 1) + (1,):
+            return face, (
+                f"link has reduced Betti numbers {list(b)} "
+                f"(indices -1..{link.dim}), not those of a {m}-sphere"
+            )
     return None
 
 
 def _admissible(link, k: int, mode: str):
     failure = _sphere_failure(link)
     if failure is not None:
-        return False, f"link is not a homology manifold: {failure}"
+        return False, f"link is not a homology manifold: {failure[1]}"
     f = brute_force_f_vector(link.facets)
     chi = sum((-1) ** i * f[i + 1] for i in range(len(f) - 1))
     b = brute_force_betti(link.facets)  # b[i + 1] is the reduced b_i
@@ -252,3 +265,125 @@ def per_vertex_ubc_hypotheses(sc, mode: str = "theorem"):
         ok, reason = _admissible(scan_link(sc, (v,)), k, mode)
         items.append(Hypothesis(f"link of vertex {v} is admissible", ok, reason))
     return tuple(items)
+
+
+def _chi(facets) -> int:
+    f = brute_force_f_vector(facets)
+    return sum((-1) ** i * f[i + 1] for i in range(len(f) - 1))
+
+
+def _euler_failure(sc, include_empty: bool):
+    """is_eulerian (include_empty) or is_semi_eulerian of a pure complex:
+    the first face whose link's Euler characteristic is not the sphere's of
+    its dimension, as a Witness; None if none."""
+    from ubckit import Witness
+
+    for face in _faces_top_down(sc, include_empty):
+        link = scan_link(sc, face)
+        chi, expected = _chi(link.facets), 0 if link.dim % 2 else 2
+        if chi != expected:
+            return Witness(
+                face, f"chi(link) = {chi}, expected {expected} for dimension {link.dim}"
+            )
+    return None
+
+
+def reisner_cohen_macaulay(sc):
+    """is_cohen_macaulay by Reisner's criterion on every face, the empty
+    face included: the first link with nonvanishing reduced homology below
+    its dimension is the witness."""
+    from ubckit import Witness
+
+    for face in _faces_top_down(sc, include_empty=True):
+        link = scan_link(sc, face)
+        b = brute_force_betti(link.facets)  # b[i + 1] is the reduced b_i
+        for i in range(-1, link.dim):
+            if b[i + 1] != 0:
+                return False, Witness(
+                    face,
+                    f"link has reduced Betti number {b[i + 1]} in dimension {i} "
+                    f"below its dimension {link.dim}",
+                )
+    return True, None
+
+
+def vertex_link_buchsbaum(sc):
+    """is_buchsbaum as its definition: pure, and Reisner's criterion on each
+    vertex link."""
+    from ubckit import Witness
+
+    if not sc.is_pure:
+        return False, Witness(None, "complex is not pure")
+    for v in sc.vertices:
+        flag, inner = reisner_cohen_macaulay(scan_link(sc, (v,)))
+        if not flag:
+            return False, Witness(
+                (v,), f"link of vertex {v} is not Cohen-Macaulay: {inner.reason}"
+            )
+    return True, None
+
+
+def classify_by_definition(sc):
+    """classify as six separate classifiers, each walking every link it
+    needs: Euler characteristics for (semi-)Eulerian, a sphere test per face
+    for homology manifold, Reisner for Cohen-Macaulay and per vertex link
+    for Buchsbaum.  Orientable means the unreduced top Betti number equals
+    the number of components.  The pseudomanifold flag and witness come
+    from the library, which counts ridges and reads no link."""
+    from ubckit import ClassificationReport, Witness, is_pseudomanifold
+
+    pure, d = sc.is_pure, sc.dim
+    b = brute_force_betti(sc.facets)  # b[i + 1] is the reduced b_i
+    witnesses = {}
+    if pure:
+        flags = {}
+        for flag, include_empty in (("eulerian", True), ("semi_eulerian", False)):
+            wit = _euler_failure(sc, include_empty)
+            flags[flag] = wit is None
+            if wit is not None:
+                witnesses[flag] = wit
+        failure = _sphere_failure(sc)
+        hm = failure is None
+        if failure is not None:
+            witnesses["homology_manifold"] = Witness(*failure)
+        eul, semi = flags["eulerian"], flags["semi_eulerian"]
+    else:
+        eul = semi = hm = None
+    pm, _, pm_w = is_pseudomanifold(sc)
+    if pm is False:
+        witnesses["pseudomanifold"] = pm_w
+    components = b[1] + 1 if d >= 0 else 0
+    orientable = None
+    if (hm or pm) and d >= 0:
+        orientable = b[d + 1] + (d == 0) == components
+    sphere = bool(hm) and b == (0,) * (d + 1) + (1,)
+    cm, cm_w = reisner_cohen_macaulay(sc)
+    bb, bb_w = vertex_link_buchsbaum(sc)
+    if not cm:
+        witnesses["cohen_macaulay"] = cm_w
+    if not bb:
+        witnesses["buchsbaum"] = bb_w
+    if not sphere:
+        witnesses["homology_sphere"] = Witness(
+            None,
+            f"reduced Betti numbers {list(b)} (indices -1..{d}) "
+            f"are not those of a {d}-sphere, or the link criterion fails",
+        )
+    if orientable is False:
+        witnesses["orientable"] = Witness(
+            None,
+            f"top Betti number {b[d + 1]} differs from the "
+            f"{components} connected component(s)",
+        )
+    return ClassificationReport(
+        pure=pure,
+        eulerian=eul,
+        semi_eulerian=semi,
+        homology_sphere=sphere,
+        homology_manifold=hm,
+        orientable=orientable,
+        pseudomanifold=pm,
+        cohen_macaulay=cm,
+        buchsbaum=bb,
+        witnesses=witnesses,
+    )

@@ -353,6 +353,33 @@ def test_verify_ubc_witnesses_are_pinned(tmp_path, capsys, make, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "spec, golden",
+    [
+        ("torus-7", "classify-torus-7.json"),
+        ("rp2-6", "classify-rp2-6.json"),
+        ("suspension(torus-7)", "classify-suspension-torus-7.json"),
+        ("wedge(boundary-simplex(3),boundary-simplex(3))", "classify-wedge-of-2-spheres.json"),
+        ([[0, 1, 2], [0, 3, 4]], "classify-bowtie.json"),
+        ([[0, 1, 2], [2, 3]], "classify-impure.json"),
+    ],
+    ids=["torus", "rp2", "suspended-torus", "wedge", "bowtie", "impure"],
+)
+def test_classify_witnesses_are_pinned(tmp_path, capsys, spec, golden):
+    # every witness kind: Eulerian failures at the empty face (torus, rp2,
+    # wedge), an edge (bowtie) and a vertex (suspended torus); Cohen-Macaulay
+    # failures at the empty face (torus) and at vertices; the Buchsbaum
+    # vertex witness; non-orientability (rp2); an impure complex
+    if isinstance(spec, str):
+        name, sc = generate(spec)
+    else:
+        name, sc = golden[len("classify-") : -len(".json")], build_complex(spec)
+    path = tmp_path / "c.json"
+    save_complex(path, name, sc)
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 _COMMANDS = [["invariants"], ["classify"]] + [["verify", name] for name in sorted(VERIFIERS)]
 _NAMES = st.sampled_from(sorted(_GENERATORS))
 _INTS = st.integers(0, 6).map(str)

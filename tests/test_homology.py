@@ -297,6 +297,18 @@ def test_sphere_of_dimension_zero():
     assert is_eulerian(s0)[0] is True
 
 
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["point", "s0", "three-points"])
+def test_zero_dimensional_complexes_are_orientable(n):
+    # orientability compares the unreduced top Betti number, b_0 = n points
+    points = build_complex([[v] for v in range(n)])
+    assert is_homology_manifold(points) == (True, True, None)
+    pm, orientable, _ = is_pseudomanifold(points)
+    assert orientable is (True if n == 2 else None)
+    assert pm is (n == 2)
+    report = classify(points)
+    assert report.orientable is True and "orientable" not in report.witnesses
+
+
 def test_disjoint_spheres_manifold_orientable():
     two = disjoint_union(boundary_simplex(3), boundary_simplex(3))
     flag, orientable, _ = is_homology_manifold(two)

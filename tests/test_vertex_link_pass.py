@@ -1,15 +1,17 @@
 """The one-pass vertex-link check of the UBC hypotheses against the
-per-vertex oracle, and the rank-free sphere test against brute force."""
+per-vertex oracle, and the rank-free sphere test and Euler characteristic
+against brute force."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_betti, per_vertex_ubc_hypotheses
+from oracles import brute_force_betti, brute_force_f_vector, per_vertex_ubc_hypotheses
 from ubckit import (
     boundary_simplex,
     build_complex,
     check_ubc_hypotheses,
+    classify,
     cone,
     cross_polytope,
     disjoint_union,
@@ -120,18 +122,40 @@ def _assert_agrees_with_brute_force(reached):
     for link, result in reached:
         sphere = (0,) * (link.dim + 1) + (1,)
         assert result == (brute_force_betti(link.facets) == sphere), link.facets
+        if link.dim == 2:
+            f = brute_force_f_vector(link.facets)
+            assert homology._manifold_chi(link) == f[1] - f[2] + f[3], link.facets
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(FACETS.map(build_complex), odd_complexes()))
 def test_sphere_test_agrees_with_brute_force_in_a_manifold_walk(sc):
-    # every link is_homology_manifold reaches, on random pure complexes of
-    # dimension 0..3 and on the complexes above, whose vertex links include
-    # 2-dimensional manifolds that are not spheres (suspended tori)
+    # every link is_homology_manifold and classify reach, on random pure
+    # complexes of dimension 0..3 and on the complexes above, whose vertex
+    # links include 2-dimensional manifolds that are not spheres (suspended
+    # tori)
     _assert_agrees_with_brute_force(_reached_links(lambda: is_homology_manifold(sc)))
+    _assert_agrees_with_brute_force(_reached_links(lambda: classify(build_complex(sc.facets))))
 
 
 @settings(max_examples=25, deadline=None)
 @given(odd_complexes())
 def test_sphere_test_agrees_with_brute_force_in_the_vertex_link_pass(sc):
     _assert_agrees_with_brute_force(_reached_links(lambda: check_ubc_hypotheses(sc)))
+
+
+@pytest.mark.parametrize("surface", SURFACES[:4], ids=["tetrahedron", "octahedron", "torus", "rp2"])
+def test_two_dimensional_manifold_links_build_no_face_lattice(surface):
+    apex_link = suspension(surface)._face_link((surface.n_vertices,))
+    assert apex_link == surface
+    assert homology._is_sphere_manifold(apex_link) is (surface.euler_characteristic() == 2)
+    assert apex_link._by_dim is None
+
+
+def test_vertex_link_pass_builds_no_vertex_link_lattice():
+    # the vertex links of a cyclic 3-sphere are 2-spheres: admissible in
+    # both modes from their facets alone
+    sc = gale_facets(4, 8)
+    for mode in ("theorem", "corollary"):
+        assert all(h.status for h in check_ubc_hypotheses(sc, mode))
+    assert all(sc._face_link((v,))._by_dim is None for v in sc.vertices)
