@@ -21,11 +21,17 @@ walk records which links are such spheres (:func:`_link_records`), and
 :func:`classify` reads every link condition off it: a sphere link needs no
 Euler characteristic and no Betti numbers.  A variant skipping a face once
 each of its vertices has a failing face checks every vertex link in one
-pass (:func:`_non_sphere_links`).
+pass (:func:`_non_sphere_links`).  That pass builds no link complex for a
+passing link of dimension <= 2: in a pure complex the facets of lk(G), for
+all faces G of one codimension, come from one pass over the facets, G being
+a facet F minus some of its vertices and F - G the link facet, already in
+the order of lk(G).facets (:func:`_link_facets`); the sphere test reads
+them directly (:func:`_is_sphere_facets`).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -211,26 +217,35 @@ def _is_sphere_manifold(link: SimplicialComplex) -> bool:
       cycle: b_2 <= 1.  Connected means b_0 = 0, so chi = 1 - b_1 + b_2, and
       chi = 2 holds exactly when b_1 = 0 and b_2 = 1.
 
-    Up to m = 2 connectivity and chi (:func:`_manifold_chi`) are read off
-    the facets, so no face lattice is built.  From m = 3 on the Betti
-    numbers are computed.
+    Up to m = 2 the test reads connectivity and chi off the facets
+    (:func:`_is_sphere_facets`), so no face lattice is built.  From m = 3
+    on the Betti numbers are computed.
     """
     m = link.dim
-    if m <= 0:
-        return m == -1 or link.n_vertices == 2
     if m <= 2:
-        edges = [(f[0], v) for f in link.facets for v in f[1:]]
-        return _count_classes(link.vertices, edges) == 1 and (m == 1 or _manifold_chi(link) == 2)
+        return _is_sphere_facets(link.facets, m)
     return _is_sphere_betti(link)
 
 
-def _manifold_chi(link: SimplicialComplex) -> int:
-    """Euler characteristic of a homology manifold.  In dimension 2 every
-    edge link is a 0-sphere, so each edge lies in exactly two triangles,
-    2 f_1 = 3 f_2 and chi = f_0 - f_1 + f_2 = f_0 - f_2 / 2: no face lattice."""
-    if link.dim == 2:
-        return link.n_vertices - len(link.facets) // 2
-    return link.euler_characteristic()
+def _is_sphere_facets(facets, m: int) -> bool:
+    """:func:`_is_sphere_manifold` for m <= 2, given the facets of the link
+    (pure, of dimension m): 2 points; connected; connected with chi = 2
+    (:func:`_manifold_chi`).  Connectivity needs only the edges from the
+    first vertex of each facet to its other vertices."""
+    if m <= 0:
+        return m == -1 or len(facets) == 2
+    if m == 2 and _manifold_chi(facets) != 2:
+        return False
+    vertices = {v for f in facets for v in f}
+    return _count_classes(vertices, [(f[0], v) for f in facets for v in f[1:]]) == 1
+
+
+def _manifold_chi(facets) -> int:
+    """Euler characteristic of a 2-dimensional homology manifold with these
+    facets.  Every edge link is a 0-sphere, so each edge lies in exactly two
+    triangles, 2 f_1 = 3 f_2 and chi = f_0 - f_1 + f_2 = f_0 - f_2 / 2: no
+    face lattice."""
+    return len({v for f in facets for v in f}) - len(facets) // 2
 
 
 def _link_records(sc: SimplicialComplex):
@@ -251,25 +266,50 @@ def _link_records(sc: SimplicialComplex):
         yield face, link, sphere
 
 
+def _link_facets(sc: SimplicialComplex, c: int) -> dict[Face, list[Face]]:
+    """{G: lk(G).facets} over the faces G of codimension c of a pure
+    complex, in one pass over its facets: a facet F gives G = F minus c
+    of its vertices and the link facet F - G.  combinations lists the
+    (|F| - c)-subsets of F as the complements of its c-subsets in reverse
+    order.  Two facets F, F' containing G first differ where F - G and
+    F' - G first differ, so the sorted facets give each list in the order
+    of lk(G).facets."""
+    groups: dict[Face, list[Face]] = {}
+    for facet in sc.facets:
+        links = list(combinations(facet, c))
+        for face, rest in zip(combinations(facet, len(facet) - c), reversed(links)):
+            groups.setdefault(face, []).append(rest)
+    return groups
+
+
 def _non_sphere_links(sc: SimplicialComplex, lowest: int):
     """Yield (F, lk F), top-down over the faces of a pure complex of
-    dimension dim .. lowest (lowest >= 0), for each F whose link is not a
-    homology sphere of dimension dim - |F|.  A face is skipped once each of
-    its vertices lies in a face already yielded.
+    dimension dim - 1 .. lowest (lowest >= 0), for each F whose link is not
+    a homology sphere of dimension dim - |F|; a facet's link is the
+    (-1)-sphere.  A face is skipped once each of its vertices lies in a face
+    already yielded.
 
     A face F that is tested has a vertex in no yielded face, so each coface
     of F was tested before it and passed: lk(F) meets the precondition of
-    :func:`_is_sphere_manifold`.
+    :func:`_is_sphere_manifold`.  In codimension 1 to 3 the links have
+    dimension 0 to 2 and are tested on the facet lists of
+    :func:`_link_facets`, one grouping per codimension; lk(F) itself is
+    built only for a yielded face and in codimension 4 and up.
     """
     covered: set[int] = set()
-    for i in range(sc.dim, lowest - 1, -1):
+    d = sc.dim
+    for i in range(d - 1, lowest - 1, -1):
+        groups = _link_facets(sc, d - i) if d - i <= 3 else None
         for face in sc.faces(i):
             if covered.issuperset(face):
                 continue
-            link = sc._face_link(face)
-            if not _is_sphere_manifold(link):
+            if groups is None:
+                sphere = _is_sphere_betti(sc._face_link(face))
+            else:
+                sphere = _is_sphere_facets(groups[face], d - i - 1)
+            if not sphere:
                 covered.update(face)
-                yield face, link
+                yield face, sc._face_link(face)
 
 
 def _not_a_sphere(link: SimplicialComplex) -> str:
@@ -281,18 +321,25 @@ def _not_a_sphere(link: SimplicialComplex) -> str:
 
 
 def _count_classes(items, pairs) -> int:
-    """Classes of the equivalence on items generated by pairs (union-find)."""
-    parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Classes of the equivalence on items generated by pairs: the
+    components of the graph they form, each found by one walk."""
+    adjacent = {x: [] for x in items}
     for a, b in pairs:
-        parent[find(a)] = find(b)
-    return len({find(x) for x in items})
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = set()
+    classes = 0
+    for x in adjacent:
+        if x not in seen:
+            classes += 1
+            seen.add(x)
+            todo = [x]
+            while todo:
+                for y in adjacent[todo.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+    return classes
 
 
 def connected_components(sc: SimplicialComplex) -> int:
@@ -324,9 +371,13 @@ def _is_orientable(sc: SimplicialComplex) -> bool:
 
 
 def is_homology_sphere(sc: SimplicialComplex) -> bool:
-    """Homology manifold whose global reduced homology is a sphere's."""
-    flag, _, _ = is_homology_manifold(sc)
-    return bool(flag) and _is_sphere_betti(sc)
+    """Homology manifold whose global reduced homology is a sphere's.  Once
+    the manifold walk passes, the complex meets the precondition of
+    :func:`_is_sphere_manifold`: up to dimension 2 no Betti number is
+    computed."""
+    if not sc.is_pure or next(_non_sphere_links(sc, 0), None) is not None:
+        return False
+    return _is_sphere_manifold(sc)
 
 
 def is_pseudomanifold(sc: SimplicialComplex):

@@ -16,6 +16,7 @@ from .complexes import SimplicialComplex
 from .cyclic import cyclic_h
 from .homology import (
     _is_orientable,
+    _link_facets,
     _manifold_chi,
     _middle_betti_bound,
     _non_sphere_links,
@@ -103,14 +104,15 @@ def _odd_dimension_k(sc: SimplicialComplex) -> int:
     return (dim - 1) // 2
 
 
-def _admissible_link_theorem(link: SimplicialComplex, k: int):
-    """Theorem-route admissibility of a vertex link already known to be a
-    homology manifold: Euler characteristic 2 (homology-sphere links land
-    here), or orientable with the middle Betti bound.  The Betti numbers
-    are computed only when chi != 2."""
-    chi = _manifold_chi(link)
+def _admissible_link_theorem(sc: SimplicialComplex, v: int, chi: int, k: int):
+    """Theorem-route admissibility of the vertex link lk(v), already known
+    to be a homology manifold with Euler characteristic chi: chi = 2
+    (homology-sphere links land here), or orientable with the middle Betti
+    bound.  The link is built, and its Betti numbers computed, only when
+    chi != 2."""
     if chi == 2:
         return True, None
+    link = sc._face_link((v,))
     b = betti_numbers(link)
     bound = _middle_betti_bound(b, k)
     if not _is_orientable(link):
@@ -123,14 +125,14 @@ def _admissible_link_theorem(link: SimplicialComplex, k: int):
     )
 
 
-def _admissible_link_corollary(link: SimplicialComplex, k: int):
-    """Corollary-route admissibility of a vertex link already known to be a
-    homology manifold: (-1)^k (chi - 2) <= 0, or vanishing middle homology.
-    The Betti numbers are computed only when the first test fails."""
-    chi = _manifold_chi(link)
+def _admissible_link_corollary(sc: SimplicialComplex, v: int, chi: int, k: int):
+    """Corollary-route admissibility of the vertex link lk(v), already
+    known to be a homology manifold with Euler characteristic chi:
+    (-1)^k (chi - 2) <= 0, or vanishing middle homology.  The link is built,
+    and its Betti numbers computed, only when the first test fails."""
     if (-1) ** k * (chi - 2) <= 0:
         return True, None
-    middle = betti_numbers(link)[k]
+    middle = betti_numbers(sc._face_link((v,)))[k]
     if middle == 0:
         return True, None
     return False, (
@@ -155,7 +157,12 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     faces containing v the order (-dim, G) is the order (-dim, G - v); so
     the first failing face found for v, and its reason, are the ones
     is_homology_manifold(lk v) reports.  A face is skipped once each of its
-    vertices has failed.
+    vertices has failed.  The links of dimension <= 2 are tested on facet
+    lists grouped from the complex's facets, one grouping per codimension
+    (:func:`~ubckit.homology._link_facets`), and a 3-dimensional complex
+    takes the chi of its 2-dimensional vertex links from the grouping in
+    codimension 3; a link complex is built only for a failing face, a link
+    of dimension >= 3, or a vertex link that needs Betti numbers.
     """
     if mode not in ("theorem", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -176,11 +183,16 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
         for v in face:
             failures.setdefault(v, reason)
     check = _admissible_link_theorem if mode == "theorem" else _admissible_link_corollary
+    vertex_links = _link_facets(sc, 3) if k == 1 else None
     for v in sc.vertices:
         if v in failures:
             ok, reason = False, failures[v]
         else:
-            ok, reason = check(sc._face_link((v,)), k)
+            if vertex_links is None:
+                chi = sc._face_link((v,)).euler_characteristic()
+            else:
+                chi = _manifold_chi(vertex_links[(v,)])
+            ok, reason = check(sc, v, chi, k)
         items.append(Hypothesis(f"link of vertex {v} is admissible", ok, reason))
     return tuple(items)
 

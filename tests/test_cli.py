@@ -171,7 +171,7 @@ import contextlib, io, json, sys
 from ubckit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
-watched = ("dataclasses", "decimal", "fractions", "ubckit.corpus")
+watched = ("dataclasses", "decimal", "fractions", "ubckit.corpus", "ubckit.cyclic", "ubckit.verify")
 print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
 
@@ -190,17 +190,21 @@ def _loaded_after(*argv) -> list[str]:
 
 
 def test_commands_load_only_what_they_run(tmp_path):
-    # start-up budget: dataclasses, fractions (with decimal) and the
-    # generators stay out of invariants, classify and verify ubc; gen is the
-    # one command that needs corpus
+    # start-up budget: dataclasses, fractions (with decimal), the generators
+    # and the statements stay out of invariants and classify; verify ubc
+    # loads the statements and the cyclic h-vector, gen the generators
     path = tmp_path / "t7.json"
     save_complex(path, "torus-7", torus_7())
     sphere = tmp_path / "c48.json"
     save_complex(sphere, "cyclic-4-8", gale_facets(4, 8))
     assert _loaded_after("invariants", str(path)) == []
     assert _loaded_after("classify", str(path)) == []
-    assert _loaded_after("verify", "ubc", str(sphere)) == []
-    assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus"]
+    assert _loaded_after("verify", "ubc", str(sphere)) == ["ubckit.cyclic", "ubckit.verify"]
+    assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus", "ubckit.cyclic"]
+
+
+def test_statement_choices_are_the_verifiers():
+    assert cli.STATEMENTS == tuple(sorted(VERIFIERS))
 
 
 def test_deeply_nested_spec_is_a_usage_error(capsys):
@@ -351,6 +355,35 @@ def test_verify_ubc_witnesses_are_pinned(tmp_path, capsys, make, golden):
     save_complex(path, name, sc)
     assert main(["verify", "ubc", str(path)]) == 2
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_verify_ubc_on_a_5_dimensional_complex_is_pinned(tmp_path, capsys):
+    # ridge links of the deleted facet are single points; the edge links
+    # are 3-dimensional, so the vertex-link pass meets links of dimension
+    # 0, 1 and 2 and the Betti route of dimension 3 in one complex
+    sc = gale_facets(6, 10)
+    path = tmp_path / "c.json"
+    save_complex(path, "cyclic-6-10-minus-facet", build_complex(sc.facets[1:]))
+    assert main(["verify", "ubc", str(path)]) == 2
+    assert capsys.readouterr().out == (GOLDEN / "verify-ubc-cyclic-6-10-minus-facet.json").read_text()
+
+
+def _sweep_directory(directory):
+    for n in (8, 9, 12):
+        sc = gale_facets(4, n)
+        save_complex(directory / f"cyclic-4-{n}.json", f"cyclic-4-{n}", sc)
+        minus = build_complex(sc.facets[: n // 2] + sc.facets[n // 2 + 1 :])
+        save_complex(directory / f"cyclic-4-{n}-minus-facet.json", f"cyclic-4-{n}-minus-facet", minus)
+    for spec in ("suspension(torus-7)", "suspension(rp2-6)"):
+        save_complex(directory / f"{spec.replace('(', '-').rstrip(')')}.json", *generate(spec))
+    (directory / "malformed.json").write_text('{"name": "bad", "facets": [[0, 1, 2], [2, 2, 3]]}')
+
+
+def test_sweep_ubc_is_pinned(tmp_path, capsys):
+    _sweep_directory(tmp_path)
+    assert main(["sweep", "ubc", str(tmp_path)]) == 64
+    out = capsys.readouterr().out.replace(str(tmp_path), "DIR")
+    assert out == (GOLDEN / "sweep-ubc.txt").read_text()
 
 
 @pytest.mark.parametrize(

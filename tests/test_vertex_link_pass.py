@@ -1,12 +1,14 @@
 """The one-pass vertex-link check of the UBC hypotheses against the
-per-vertex oracle, and the rank-free sphere test and Euler characteristic
-against brute force."""
+per-vertex oracle, the facet grouping against the scanned links, and the
+rank-free sphere test and Euler characteristic against brute force."""
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_betti, brute_force_f_vector, per_vertex_ubc_hypotheses
+from oracles import brute_force_betti, brute_force_f_vector, per_vertex_ubc_hypotheses, scan_link
 from ubckit import (
     boundary_simplex,
     build_complex,
@@ -17,6 +19,7 @@ from ubckit import (
     disjoint_union,
     gale_facets,
     is_homology_manifold,
+    is_homology_sphere,
     join,
     projective_plane_6,
     suspension,
@@ -100,31 +103,39 @@ FACETS = st.integers(1, 4).flatmap(
     )
 )
 
+# impure complexes too
+ANY_FACETS = st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=4).map(sorted), min_size=1, max_size=10
+)
+
 
 def _reached_links(run):
-    """The links the rank-free sphere test is asked about while run() walks."""
+    """The (facets, m) decisions the rank-free sphere test makes while
+    run() walks: the vertex-link pass asks it about facet lists grouped from
+    the complex, the other walks about the facets of a link complex."""
     reached = []
-    test = homology._is_sphere_manifold
+    test = homology._is_sphere_facets
 
-    def record(link):
-        result = test(link)
-        reached.append((link, result))
+    def record(facets, m):
+        result = test(facets, m)
+        reached.append((tuple(facets), m, result))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "_is_sphere_manifold", record)
+        mp.setattr(homology, "_is_sphere_facets", record)
         run()
     return reached
 
 
 def _assert_agrees_with_brute_force(reached):
     assert reached
-    for link, result in reached:
-        sphere = (0,) * (link.dim + 1) + (1,)
-        assert result == (brute_force_betti(link.facets) == sphere), link.facets
-        if link.dim == 2:
-            f = brute_force_f_vector(link.facets)
-            assert homology._manifold_chi(link) == f[1] - f[2] + f[3], link.facets
+    for facets, m, result in reached:
+        assert {len(f) for f in facets} == {m + 1}, facets
+        sphere = (0,) * (m + 1) + (1,)
+        assert result == (brute_force_betti(facets) == sphere), facets
+        if m == 2:
+            f = brute_force_f_vector(facets)
+            assert homology._manifold_chi(facets) == f[1] - f[2] + f[3], facets
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,8 +144,13 @@ def test_sphere_test_agrees_with_brute_force_in_a_manifold_walk(sc):
     # every link is_homology_manifold and classify reach, on random pure
     # complexes of dimension 0..3 and on the complexes above, whose vertex
     # links include 2-dimensional manifolds that are not spheres (suspended
-    # tori)
-    _assert_agrees_with_brute_force(_reached_links(lambda: is_homology_manifold(sc)))
+    # tori).  The manifold walk does not test facets, whose link is the
+    # (-1)-sphere, so on a 0-dimensional complex it decides nothing.
+    reached = _reached_links(lambda: is_homology_manifold(sc))
+    if sc.dim == 0:
+        assert reached == []
+    else:
+        _assert_agrees_with_brute_force(reached)
     _assert_agrees_with_brute_force(_reached_links(lambda: classify(build_complex(sc.facets))))
 
 
@@ -153,9 +169,82 @@ def test_two_dimensional_manifold_links_build_no_face_lattice(surface):
 
 
 def test_vertex_link_pass_builds_no_vertex_link_lattice():
-    # the vertex links of a cyclic 3-sphere are 2-spheres: admissible in
-    # both modes from their facets alone
+    # the links of a cyclic 3-sphere have dimension 0..2 and pass: the pass
+    # decides them, and the vertex links' chi, from grouped facet lists, so
+    # no link complex is built
     sc = gale_facets(4, 8)
     for mode in ("theorem", "corollary"):
         assert all(h.status for h in check_ubc_hypotheses(sc, mode))
-    assert all(sc._face_link((v,))._by_dim is None for v in sc.vertices)
+    assert sc._links is None
+
+
+def _product(a, b):
+    """Staircase triangulation of |a| x |b|: each pair of facets gives one
+    simplex per monotone lattice path through their vertex pairs; (u, v) is
+    vertex u * |b.vertices| + v."""
+    width = b.n_vertices
+    facets = []
+    for s in a.facets:
+        for t in b.facets:
+            steps = len(s) + len(t) - 2
+            for ups in combinations(range(steps), len(t) - 1):
+                i = j = 0
+                path = [s[0] * width + t[0]]
+                for step in range(steps):
+                    if step in ups:
+                        j += 1
+                    else:
+                        i += 1
+                    path.append(s[i] * width + t[j])
+                facets.append(path)
+    return build_complex(facets)
+
+
+def test_a_connected_three_dimensional_link_takes_the_betti_route():
+    # a circle joined with S^2 x S^1: each circle edge has the connected
+    # 3-manifold S^2 x S^1 as its link, not a sphere, and all its cofaces
+    # pass, so its link is tested and only Betti numbers can reject it
+    s2s1 = _product(boundary_simplex(2), boundary_simplex(3))
+    assert brute_force_betti(s2s1.facets) == (0, 0, 1, 1, 1)
+    sc = join(boundary_simplex(2), s2s1)
+    flag, _, wit = is_homology_manifold(sc)
+    assert (flag, wit.face) == (False, (0, 1))
+    reason = (
+        "link is not a homology manifold: link has reduced Betti numbers "
+        "[0, 0, 1, 1, 1] (indices -1..3), not those of a 3-sphere"
+    )
+    assert [h.witness for h in check_ubc_hypotheses(sc)] == [reason] * 3 + [None] * 12
+
+
+@st.composite
+def pure_complexes(draw):
+    """Random pure complexes of dimension 0..4 on vertex ids drawn from
+    0..19 in a random order, and cones and suspensions of them."""
+    size = draw(st.integers(1, 5))
+    facets = draw(
+        st.lists(st.sets(st.integers(0, 8), min_size=size, max_size=size), min_size=1, max_size=8)
+    )
+    ids = draw(st.permutations(range(20)))
+    sc = build_complex([[ids[v] for v in f] for f in facets])
+    return draw(st.sampled_from([sc, cone(sc), suspension(sc)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pure_complexes())
+def test_link_facets_are_the_links_in_order(sc):
+    for c in range(0, sc.dim + 2):
+        groups = homology._link_facets(sc, c)
+        assert sorted(groups) == list(sc.faces(sc.dim - c))
+        for face, facets in groups.items():
+            assert tuple(facets) == scan_link(sc, face).facets
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(ANY_FACETS.map(build_complex), odd_complexes(), pure_complexes(), st.sampled_from(SURFACES)))
+def test_is_homology_sphere_agrees_with_brute_force(sc):
+    sphere = (0,) * (sc.dim + 1) + (1,)
+    expected = bool(is_homology_manifold(sc)[0]) and brute_force_betti(sc.facets) == sphere
+    fresh = build_complex(sc.facets)
+    assert is_homology_sphere(fresh) is expected
+    if sc.dim <= 2:
+        assert fresh._betti is None
