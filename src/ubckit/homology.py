@@ -6,7 +6,8 @@ is a reduced Betti number.  An operator is built from the faces as a list
 of sparse columns {row: +-1}.  The ranks of boundary_0 and boundary_1 have
 closed forms (1, and f_0 minus the number of components); higher ranks come
 from sparse fraction-free column elimination, keeping the whole pipeline
-exact.
+exact.  They run top-down, and a column that a pivot of the operator above
+clears is never built (:func:`betti_numbers` gives the span argument).
 
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
@@ -65,10 +66,16 @@ def boundary_matrix(sc: SimplicialComplex, i: int) -> list[dict[int, int]]:
     gives the entry (-1)^m.  For i = 0 the single row is the empty face and
     every column is {0: 1}.  Only nonzero entries are stored.
     """
+    return _boundary_columns(sc, i, ())
+
+
+def _boundary_columns(sc: SimplicialComplex, i: int, skip) -> list[dict[int, int]]:
+    """The columns of :func:`boundary_matrix` whose index is not in skip."""
     row_index = {f: r for r, f in enumerate(sc.faces(i - 1))}
     return [
         {row_index[face[:m] + face[m + 1 :]]: -1 if m % 2 else 1 for m in range(len(face))}
-        for face in sc.faces(i)
+        for c, face in enumerate(sc.faces(i))
+        if c not in skip
     ]
 
 
@@ -83,9 +90,15 @@ def matrix_rank(columns: list[dict[int, int]]) -> int:
     are invertible rational column operations, and pivots with distinct lows
     are independent, so the rank is the number of pivots.
     """
+    return len(_pivot_lows({r: v for r, v in c.items() if v} for c in columns))
+
+
+def _pivot_lows(columns):
+    """The lows (largest rows) of the nonzero reduced columns in the
+    elimination of :func:`matrix_rank`, one per pivot.  The columns must
+    hold no zero entry, and are consumed: they may be changed in place."""
     pivots: dict[int, dict[int, int]] = {}
-    for column in columns:
-        col = {r: v for r, v in column.items() if v}
+    for col in columns:
         while col:
             low = max(col)
             p = pivots.get(low)
@@ -106,7 +119,7 @@ def matrix_rank(columns: list[dict[int, int]]) -> int:
             g = gcd(*col.values())
             if g > 1:
                 col = {r: v // g for r, v in col.items()}
-    return len(pivots)
+    return pivots.keys()
 
 
 def betti_numbers(sc: SimplicialComplex) -> BettiVector:
@@ -115,21 +128,35 @@ def betti_numbers(sc: SimplicialComplex) -> BettiVector:
     b_i = dim ker(boundary_i) - rank(boundary_{i+1}); b_-1 = 1 exactly for
     the empty complex.  The two lowest ranks have closed forms: rank
     boundary_0 = 1 (every vertex maps to the empty face) and rank
-    boundary_1 = f_0 - #components (the vertex graph's incidence matrix);
-    :func:`matrix_rank` runs only for i >= 2.  Memoized in a slot of the
-    complex, not in a process-global cache.  The reduced Euler-Poincare
-    identity sum (-1)^i b_i = chi - 1 is checked on every computation; it
-    checks the face counts only, as a rank off by d shifts b_{i-1} and b_i
-    alike.
+    boundary_1 = f_0 - #components (the vertex graph's incidence matrix).
+    The others are eliminated top-down, boundary_dim first, with clearing
+    (the twist of Chen-Kerber): each pivot low j of the reduced
+    boundary_{i+1} names an i-face whose column of boundary_i is never
+    built, and rank boundary_i is the number of pivots among the columns
+    left.  This is exact over Q.  The reduced column with low j is a
+    boundary, hence a cycle z with z_j != 0 and z_r = 0 for r > j, so
+    boundary_i e_j = -(1/z_j) sum_{r<j} z_r boundary_i e_r lies in the span
+    of the columns with smaller index.  By induction on j every cleared
+    column lies in the span of the columns left, so dropping them leaves
+    the rank unchanged.
+
+    Memoized in a slot of the complex, not in a process-global cache.  The
+    reduced Euler-Poincare identity sum (-1)^i b_i = chi - 1 is checked on
+    every computation; it checks the face counts only, as a rank off by d
+    shifts b_{i-1} and b_i alike.
     """
     if sc._betti is not None:
         return sc._betti
     d = sc.dim
-    ranks = [1] if d >= 0 else []
+    ranks = [0] * (d + 2)  # rank boundary_i for i = 0 .. d + 1
+    cleared = ()
+    for i in range(d, 1, -1):
+        cleared = _pivot_lows(_boundary_columns(sc, i, cleared))
+        ranks[i] = len(cleared)
     if d >= 1:
-        ranks.append(sc.n_vertices - _count_classes(sc.vertices, sc.faces(1)))
-    ranks += [matrix_rank(boundary_matrix(sc, i)) for i in range(2, d + 1)]
-    ranks.append(0)
+        ranks[1] = sc.n_vertices - _count_classes(sc.vertices, sc.faces(1))
+    if d >= 0:
+        ranks[0] = 1
     counts = sc.face_counts()
     entries = [1 - ranks[0]]
     for i in range(0, d + 1):

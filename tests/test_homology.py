@@ -98,12 +98,13 @@ def test_betti_invariant_under_relabeling(name):
 
 def test_betti_numbers_computed_once_per_complex(monkeypatch):
     calls = []
+    pivot_lows = homology._pivot_lows
 
-    def counting_rank(mat):
+    def counting_reducer(columns):
         calls.append(1)
-        return matrix_rank(mat)
+        return pivot_lows(columns)
 
-    monkeypatch.setattr(homology, "matrix_rank", counting_rank)
+    monkeypatch.setattr(homology, "_pivot_lows", counting_reducer)
     sc = cone(boundary_simplex(3))
     first = betti_numbers(sc)
     assert calls

@@ -20,6 +20,7 @@ from ubckit import (
     connected_components,
     cross_polytope,
     gale_facets,
+    homology,
     join,
     matrix_rank,
     projective_plane_6,
@@ -78,6 +79,10 @@ def test_rank_ignores_zero_entries():
     assert matrix_rank([{0: 0, 1: 2}, {0: 0}, {1: 4, 2: 0}]) == 1
 
 
+def _sphere_betti(d):
+    return (0,) * (d + 1) + (1,)
+
+
 FACETS = st.lists(
     st.sets(st.integers(0, 7), min_size=1, max_size=5).map(sorted), min_size=1, max_size=8
 )
@@ -88,6 +93,76 @@ FACETS = st.lists(
 def test_betti_matches_brute_force(facets):
     sc = build_complex(facets)
     assert betti_numbers(sc).entries == brute_force_betti(sc.facets)
+
+
+SMALL_FACETS = st.lists(
+    st.sets(st.integers(0, 4), min_size=1, max_size=3).map(sorted), min_size=1, max_size=4
+)
+
+# impure and disconnected complexes, their cones and suspensions, and joins
+COMPLEXES = st.one_of(
+    FACETS.map(build_complex),
+    FACETS.map(build_complex).map(cone),
+    FACETS.map(build_complex).map(suspension),
+    st.builds(join, SMALL_FACETS.map(build_complex), SMALL_FACETS.map(build_complex)),
+)
+
+
+def _reductions(sc):
+    """betti_numbers(sc), and (columns built, pivots) of each elimination
+    in the order betti_numbers runs them."""
+    pivot_lows = homology._pivot_lows
+    seen = []
+
+    def recording(columns):
+        lows = pivot_lows(columns)
+        seen.append((len(columns), len(lows)))
+        return lows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_pivot_lows", recording)
+        betti = betti_numbers(sc)
+    return betti, seen
+
+
+def _dense(columns, rows):
+    return [[column.get(r, 0) for column in columns] for r in range(rows)]
+
+
+# fewer examples than the plain-facet tests: the dense Fraction oracles on a
+# suspension's operators take up to about a second
+@settings(max_examples=60, deadline=None)
+@given(COMPLEXES)
+def test_cleared_ranks_match_fraction_oracle(sc):
+    # the pass reduces boundary_dim .. boundary_2 top-down; each rank equals
+    # the dense rank of the whole operator, though cleared columns are never
+    # built, and the columns built at level i that reduce to zero number b_i
+    betti, seen = _reductions(sc)
+    levels = range(sc.dim, 1, -1)
+    assert len(seen) == len(levels)
+    for i, (built, pivots) in zip(levels, seen):
+        full = boundary_matrix(sc, i)
+        assert pivots == rank_fraction(_dense(full, len(sc.faces(i - 1))))
+        assert built - pivots == betti[i]
+    assert betti.entries == brute_force_betti(sc.facets)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: cross_polytope(8), _sphere_betti(7)),
+        (lambda: gale_facets(8, 14), _sphere_betti(7)),
+        (lambda: build_complex([range(12)]), (0,) * 13),
+    ],
+    ids=["cross-polytope-8", "cyclic-8-14", "solid-12-simplex"],
+)
+def test_cleared_betti_closed_forms(build, expected):
+    # spheres and a contractible simplex: the columns built at level i that
+    # reduce to zero number b_i, which is 0 below the top, so every column
+    # built there is a pivot
+    betti, seen = _reductions(build())
+    assert betti.entries == expected
+    assert all(built == pivots for built, pivots in seen[1:])
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,10 +181,6 @@ def test_betti_with_z2_torsion(build):
     sc = build(projective_plane_6())
     assert betti_numbers(sc).entries == brute_force_betti(sc.facets)
     assert all(b == 0 for b in betti_numbers(sc).entries)
-
-
-def _sphere_betti(d):
-    return (0,) * (d + 1) + (1,)
 
 
 @pytest.mark.parametrize(
