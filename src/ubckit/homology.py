@@ -12,27 +12,25 @@ clears is never built (:func:`betti_numbers` gives the span argument).
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
 first within its dimension).  They share the complex's link table and the
-Betti numbers memoized on every link.
+Betti numbers memoized on every link, and build a link only where counting
+cannot decide.
 
-The top-down order also makes the sphere test of a link cheap.  A face is
-tested only after all its cofaces passed, and the cofaces of F are the faces
-of lk(F), so lk(F) is then a homology manifold; up to dimension 2 such a
-link is a sphere by counting alone (:func:`_is_sphere_manifold`).  One lazy
-walk records which links are such spheres (:func:`_link_records`), and
-:func:`classify` reads every link condition off it: a sphere link needs no
-Euler characteristic and no Betti numbers.  A variant skipping a face once
+A face is tested only after all its cofaces passed, and the cofaces of F
+are the faces of lk(F), so lk(F) is then a homology manifold.  Up to
+dimension 2 such a link is a sphere by counting alone, read off its facets
+(:func:`_is_sphere_facets`), and the facets of all links of one
+codimension come from one pass over the complex's (:func:`_link_facets`).
+:func:`classify` and :func:`is_cohen_macaulay` read every link condition
+off one lazy walk (:func:`_link_records`); a variant skipping a face once
 each of its vertices has a failing face checks every vertex link in one
-pass (:func:`_non_sphere_links`).  That pass builds no link complex for a
-passing link of dimension <= 2: in a pure complex the facets of lk(G), for
-all faces G of one codimension, come from one pass over the facets, G being
-a facet F minus some of its vertices and F - G the link facet, already in
-the order of lk(G).facets (:func:`_link_facets`); the sphere test reads
-them directly (:func:`_is_sphere_facets`).
+pass (:func:`_non_sphere_links`).  The Euler characteristic of every link
+is a signed count of faces (:func:`_eulerian_condition`).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -183,13 +181,6 @@ class Witness(NamedTuple):
         }
 
 
-def _faces_top_down(sc: SimplicialComplex, include_empty: bool):
-    for i in range(sc.dim, -1, -1):
-        yield from sc.faces(i)
-    if include_empty:
-        yield ()
-
-
 def is_eulerian(sc: SimplicialComplex):
     """Every face link, the empty face included, has the Euler characteristic
     of the sphere of its dimension.  Returns (flag, witness); the flag is
@@ -203,26 +194,31 @@ def is_semi_eulerian(sc: SimplicialComplex):
 
 
 def _eulerian_condition(sc: SimplicialComplex, include_empty: bool):
+    """The first face, top-down, whose link has the wrong chi, with no link
+    built: the faces of lk(F) are the faces H strictly containing F, so for
+    an i-face chi(lk F) = sum_H (-1)^(dim H - i - 1), and each face above
+    level i adds its sign to each of its (i+1)-subsets."""
     if not sc.is_pure:
         return None, Witness(None, "complex is not pure")
-    for face in _faces_top_down(sc, include_empty):
-        wit = _euler_failure(face, sc._face_link(face))
-        if wit:
-            return False, wit
-    return True, None
+    d = sc.dim
+    for i in range(d - 1, -1, -1):  # a facet's link is the (-1)-sphere
+        odd, even = (
+            Counter(chain.from_iterable(combinations(h, i + 1) for j in js for h in sc.faces(j)))
+            for js in (range(i + 1, d + 1, 2), range(i + 2, d + 1, 2))
+        )
+        for face in sc.faces(i):
+            wit = _euler_failure(face, odd[face] - even[face], d - i - 1)
+            if wit:
+                return False, wit
+    wit = include_empty and _euler_failure((), sc.euler_characteristic(), d)
+    return (False, wit) if wit else (True, None)
 
 
-def _euler_failure(face: Face, link: SimplicialComplex) -> Witness | None:
-    chi, expected = link.euler_characteristic(), 1 + (-1) ** link.dim
+def _euler_failure(face: Face, chi: int, m: int) -> Witness | None:
+    expected = 0 if m % 2 else 2
     if chi != expected:
-        return Witness(face, f"chi(link) = {chi}, expected {expected} for dimension {link.dim}")
+        return Witness(face, f"chi(link) = {chi}, expected {expected} for dimension {m}")
     return None
-
-
-def _is_sphere_betti(sc: SimplicialComplex) -> bool:
-    # reduced homology of the sphere of its dimension; -1 is the empty complex
-    b = betti_numbers(sc)
-    return all(entry == (1 if i == sc.dim else 0) for i, entry in b.items())
 
 
 def _is_sphere_manifold(link: SimplicialComplex) -> bool:
@@ -244,14 +240,13 @@ def _is_sphere_manifold(link: SimplicialComplex) -> bool:
       cycle: b_2 <= 1.  Connected means b_0 = 0, so chi = 1 - b_1 + b_2, and
       chi = 2 holds exactly when b_1 = 0 and b_2 = 1.
 
-    Up to m = 2 the test reads connectivity and chi off the facets
-    (:func:`_is_sphere_facets`), so no face lattice is built.  From m = 3
-    on the Betti numbers are computed.
+    Up to m = 2 the test reads the facets (:func:`_is_sphere_facets`) and
+    builds no face lattice; from m = 3 on it computes the Betti numbers.
     """
     m = link.dim
     if m <= 2:
         return _is_sphere_facets(link.facets, m)
-    return _is_sphere_betti(link)
+    return all(b == (1 if i == m else 0) for i, b in betti_numbers(link).items())
 
 
 def _is_sphere_facets(facets, m: int) -> bool:
@@ -276,21 +271,30 @@ def _manifold_chi(facets) -> int:
 
 
 def _link_records(sc: SimplicialComplex):
-    """Yield (F, lk F, sphere) lazily, top-down over the nonempty faces.
+    """Yield (F, sphere) lazily, top-down over the nonempty faces.
 
     sphere is :func:`_is_sphere_manifold` of lk F when the complex is pure
     and every face F + v one dimension up had sphere True: by induction all
     cofaces of F passed, so lk F is a homology manifold.  Otherwise sphere
     is None, untested; the first face whose sphere is not True has a bool.
+    Codimensions 0 to 3 are walked and decided on one :func:`_link_facets`
+    grouping each, so lk F is built only from codimension 4 on, and a pure
+    complex of dimension <= 2 builds no face lattice either.
     """
-    pure = sc.is_pure
+    pure, d = sc.is_pure, sc.dim
     failed: set[Face] = set()  # faces with a coface one dimension up not a sphere
-    for face in _faces_top_down(sc, include_empty=False):
-        link = sc._face_link(face)
-        sphere = _is_sphere_manifold(link) if pure and face not in failed else None
-        if pure and not sphere:
-            failed.update(face[:m] + face[m + 1 :] for m in range(len(face)))
-        yield face, link, sphere
+    for i in range(d, -1, -1):
+        groups = _link_facets(sc, d - i) if pure and d - i <= 3 else None
+        for face in sc.faces(i) if groups is None else sorted(groups):
+            if not pure or face in failed:
+                sphere = None
+            elif groups is None:
+                sphere = _is_sphere_manifold(sc._face_link(face))
+            else:
+                sphere = _is_sphere_facets(groups[face], d - i - 1)
+            if pure and not sphere:
+                failed.update(face[:m] + face[m + 1 :] for m in range(len(face)))
+            yield face, sphere
 
 
 def _link_facets(sc: SimplicialComplex, c: int) -> dict[Face, list[Face]]:
@@ -312,16 +316,11 @@ def _link_facets(sc: SimplicialComplex, c: int) -> dict[Face, list[Face]]:
 def _non_sphere_links(sc: SimplicialComplex, lowest: int):
     """Yield (F, lk F), top-down over the faces of a pure complex of
     dimension dim - 1 .. lowest (lowest >= 0), for each F whose link is not
-    a homology sphere of dimension dim - |F|; a facet's link is the
-    (-1)-sphere.  A face is skipped once each of its vertices lies in a face
-    already yielded.
-
-    A face F that is tested has a vertex in no yielded face, so each coface
-    of F was tested before it and passed: lk(F) meets the precondition of
-    :func:`_is_sphere_manifold`.  In codimension 1 to 3 the links have
-    dimension 0 to 2 and are tested on the facet lists of
-    :func:`_link_facets`, one grouping per codimension; lk(F) itself is
-    built only for a yielded face and in codimension 4 and up.
+    a homology sphere of dimension dim - |F|.  A face is skipped once each
+    of its vertices lies in a face already yielded.  A face F that is tested
+    has a vertex in no yielded face, so its cofaces were tested and passed,
+    and its link is decided as in :func:`_link_records`; lk(F) is built only
+    for a yielded face and from codimension 4 on.
     """
     covered: set[int] = set()
     d = sc.dim
@@ -331,7 +330,7 @@ def _non_sphere_links(sc: SimplicialComplex, lowest: int):
             if covered.issuperset(face):
                 continue
             if groups is None:
-                sphere = _is_sphere_betti(sc._face_link(face))
+                sphere = _is_sphere_manifold(sc._face_link(face))
             else:
                 sphere = _is_sphere_facets(groups[face], d - i - 1)
             if not sphere:
@@ -485,14 +484,14 @@ def is_cohen_macaulay(sc: SimplicialComplex):
     """Reisner's criterion over the rationals: for every face, the empty
     face included, the link has vanishing reduced homology below its
     dimension.  Returns (flag, witness).  A sphere link in
-    :func:`_link_records` passes with no Betti vector, and so does the empty
-    face of a homology manifold that is a sphere.
+    :func:`_link_records` passes unbuilt, and so does the empty face of a
+    homology manifold that is a sphere; only the other links are built.
     """
     manifold = True
-    for face, link, sphere in _link_records(sc):
+    for face, sphere in _link_records(sc):
         if not sphere:
             manifold = False
-            wit = _reisner_failure(face, link)
+            wit = _reisner_failure(face, sc._face_link(face))
             if wit:
                 return False, wit
     if manifold and _is_sphere_manifold(sc):
@@ -580,18 +579,19 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     """
     pure = sc.is_pure
     hm_w = semi_w = eul_w = cm_w = None
-    for face, link, sphere in _link_records(sc):
+    for face, sphere in _link_records(sc):
         if sphere:
             continue
+        link = sc._face_link(face)
         if pure:
             hm_w = hm_w or Witness(face, _not_a_sphere(link))
-            semi_w = semi_w or _euler_failure(face, link)
+            semi_w = semi_w or _euler_failure(face, link.euler_characteristic(), link.dim)
         cm_w = cm_w or _reisner_failure(face, link)
         if cm_w and (not pure or hm_w and semi_w):
             break
     hm = semi = eul = None
     if pure:
-        eul_w = semi_w or _euler_failure((), sc)
+        eul_w = semi_w or _euler_failure((), sc.euler_characteristic(), sc.dim)
         hm, semi, eul = hm_w is None, semi_w is None, eul_w is None
     sphere = bool(hm) and _is_sphere_manifold(sc)
     bb, bb_w = is_buchsbaum(sc) if cm_w or not pure else (True, None)

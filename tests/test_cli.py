@@ -368,6 +368,32 @@ def test_verify_ubc_on_a_5_dimensional_complex_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "verify-ubc-cyclic-6-10-minus-facet.json").read_text()
 
 
+@pytest.mark.parametrize("statement", ["dehn-sommerville", "lower-bounds"])
+@pytest.mark.parametrize(
+    "make, stem",
+    [
+        (lambda: generate("join(torus-7,torus-7)"), "join-torus-7-torus-7"),
+        (
+            lambda: ("cyclic-6-10-minus-facet", build_complex(gale_facets(6, 10).facets[1:])),
+            "cyclic-6-10-minus-facet",
+        ),
+        (lambda: generate("suspension(torus-7)"), "suspension-torus-7"),
+    ],
+    ids=["join-of-tori", "minus-facet", "suspended-torus"],
+)
+def test_verify_link_statements_are_pinned(tmp_path, capsys, statement, make, stem):
+    # chi failures at a triangle (the join: its link is the other torus), a
+    # ridge (the deleted facet) and a vertex (a suspension apex); Buchsbaum
+    # failures at vertex 0 of the join and at an apex, whose links are not
+    # Cohen-Macaulay because a torus is a link in them; the ball passes
+    name, sc = make()
+    path = tmp_path / "c.json"
+    save_complex(path, name, sc)
+    golden = (GOLDEN / f"verify-{statement}-{stem}.json").read_text()
+    assert main(["verify", statement, str(path)]) == json.loads(golden)["exit_code"]
+    assert capsys.readouterr().out == golden
+
+
 def _sweep_directory(directory):
     for n in (8, 9, 12):
         sc = gale_facets(4, n)

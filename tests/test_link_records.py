@@ -1,10 +1,16 @@
 """classify, is_cohen_macaulay and is_buchsbaum, which read one top-down
-link record, against the classifiers one condition at a time."""
+link record, and is_eulerian / is_semi_eulerian, which count every link's
+chi off the faces, against the classifiers one condition at a time."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import classify_by_definition, reisner_cohen_macaulay, vertex_link_buchsbaum
+from oracles import (
+    _euler_failure,
+    classify_by_definition,
+    reisner_cohen_macaulay,
+    vertex_link_buchsbaum,
+)
 from ubckit import (
     boundary_simplex,
     build_complex,
@@ -14,6 +20,8 @@ from ubckit import (
     disjoint_union,
     is_buchsbaum,
     is_cohen_macaulay,
+    is_eulerian,
+    is_semi_eulerian,
     join,
     projective_plane_6,
     suspension,
@@ -84,3 +92,22 @@ def test_classifiers_match_the_definitions(sc):
     assert classify(sc) == classify_by_definition(sc)
     assert is_cohen_macaulay(sc) == reisner_cohen_macaulay(sc)
     assert is_buchsbaum(sc) == vertex_link_buchsbaum(sc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(complexes(), RANDOM))
+# many failing ridges, the witness the first of them: a cone's base, and
+# the ridges of a deleted facet
+@example(cone(suspension(torus_7())))
+@example(build_complex(suspension(torus_7()).facets[1:]))
+# deep first failures, after levels that sum faces of two and more levels
+# above: an edge whose link is a torus, and the empty face alone
+@example(suspension(suspension(torus_7())))
+@example(torus_7())
+def test_chi_count_matches_the_links(sc):
+    for check, include_empty in ((is_eulerian, True), (is_semi_eulerian, False)):
+        if sc.is_pure:
+            wit = _euler_failure(sc, include_empty)
+            assert check(build_complex(sc.facets)) == (wit is None, wit)
+        else:
+            assert check(sc) == (None, (None, "complex is not pure"))

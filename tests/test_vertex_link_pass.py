@@ -12,6 +12,8 @@ from oracles import brute_force_betti, brute_force_f_vector, per_vertex_ubc_hypo
 from ubckit import (
     boundary_simplex,
     build_complex,
+    check_dehn_sommerville,
+    check_lower_bounds,
     check_ubc_hypotheses,
     classify,
     cone,
@@ -176,6 +178,27 @@ def test_vertex_link_pass_builds_no_vertex_link_lattice():
     for mode in ("theorem", "corollary"):
         assert all(h.status for h in check_ubc_hypotheses(sc, mode))
     assert sc._links is None
+
+
+def test_classify_and_dehn_sommerville_build_no_link():
+    # a 3-sphere's links have dimension <= 2 and pass, so classify decides
+    # them from grouped facet lists; the Eulerian check counts every link's
+    # chi off the faces
+    sc = gale_facets(4, 20)
+    assert classify(sc).first_failure is None
+    assert sc._links is None
+    sc = gale_facets(4, 30)
+    assert check_dehn_sommerville(sc).overall == "pass"
+    assert sc._links is None
+
+
+def test_lower_bounds_build_only_the_vertex_links():
+    # is_buchsbaum builds each vertex link; their own links, of dimension
+    # <= 1, are decided from grouped facet lists
+    sc = gale_facets(4, 30)
+    assert check_lower_bounds(sc).overall == "pass"
+    faces = [key for key in sc._links if not key or isinstance(key[0], int)]
+    assert sorted(faces) == [()] + [(v,) for v in sc.vertices]
 
 
 def _product(a, b):
