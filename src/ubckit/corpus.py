@@ -235,6 +235,23 @@ def spec_name(node) -> str:
     return f"{name}({','.join(spec_name(a) for a in args)})"
 
 
+# name: (function, argument kinds).  "int" is an integer parameter and
+# "complex" a complex-valued spec; "vertex" marks wedge's optional pair of
+# vertices to identify, given both or neither.
+_GENERATORS = {
+    "boundary-simplex": (boundary_simplex, ("int",)),
+    "cross-polytope": (cross_polytope, ("int",)),
+    "cyclic": (gale_facets, ("int", "int")),
+    "torus-7": (torus_7, ()),
+    "rp2-6": (projective_plane_6, ()),
+    "cone": (cone, ("complex",)),
+    "suspension": (suspension, ("complex",)),
+    "join": (join, ("complex", "complex")),
+    "disjoint-union": (disjoint_union, ("complex", "complex")),
+    "wedge": (wedge, ("complex", "complex", "vertex", "vertex")),
+}
+
+
 def _build(node) -> SimplicialComplex:
     if isinstance(node, int):
         raise ValueError("integer given where a complex-valued spec was expected")
@@ -242,90 +259,24 @@ def _build(node) -> SimplicialComplex:
     if name not in _GENERATORS:
         known = ", ".join(sorted(_GENERATORS))
         raise ValueError(f"unknown generator {name!r} (known: {known})")
-    return _GENERATORS[name](*args)
-
-
-def _int_args(name, args, count):
-    if len(args) != count or not all(isinstance(a, int) for a in args):
-        raise ValueError(f"{name} takes exactly {count} integer parameter(s)")
-    return args
-
-
-def _gen_boundary_simplex(*args):
-    (d,) = _int_args("boundary-simplex", args, 1)
-    return boundary_simplex(d)
-
-
-def _gen_cross_polytope(*args):
-    (d,) = _int_args("cross-polytope", args, 1)
-    return cross_polytope(d)
-
-
-def _gen_cyclic(*args):
-    d, n = _int_args("cyclic", args, 2)
-    return gale_facets(d, n)
-
-
-def _gen_torus(*args):
-    _int_args("torus-7", args, 0)
-    return torus_7()
-
-
-def _gen_rp2(*args):
-    _int_args("rp2-6", args, 0)
-    return projective_plane_6()
-
-
-def _gen_cone(*args):
-    if len(args) != 1:
-        raise ValueError("cone takes exactly one complex-valued argument")
-    return cone(_build(args[0]))
-
-
-def _gen_suspension(*args):
-    if len(args) != 1:
-        raise ValueError("suspension takes exactly one complex-valued argument")
-    return suspension(_build(args[0]))
-
-
-def _gen_join(*args):
-    if len(args) != 2:
-        raise ValueError("join takes exactly two complex-valued arguments")
-    return join(_build(args[0]), _build(args[1]))
-
-
-def _gen_disjoint_union(*args):
-    if len(args) != 2:
-        raise ValueError("disjoint-union takes exactly two complex-valued arguments")
-    return disjoint_union(_build(args[0]), _build(args[1]))
-
-
-def _gen_wedge(*args):
-    if len(args) not in (2, 4):
-        raise ValueError(
-            "wedge takes two complex-valued arguments, optionally followed by "
-            "the two vertices to identify"
-        )
-    va = vb = None
-    if len(args) == 4:
-        va, vb = args[2], args[3]
-        if not isinstance(va, int) or not isinstance(vb, int):
-            raise ValueError("wedge vertices must be integers")
-    return wedge(_build(args[0]), _build(args[1]), va, vb)
-
-
-_GENERATORS = {
-    "boundary-simplex": _gen_boundary_simplex,
-    "cross-polytope": _gen_cross_polytope,
-    "cyclic": _gen_cyclic,
-    "torus-7": _gen_torus,
-    "rp2-6": _gen_rp2,
-    "cone": _gen_cone,
-    "suspension": _gen_suspension,
-    "join": _gen_join,
-    "disjoint-union": _gen_disjoint_union,
-    "wedge": _gen_wedge,
-}
+    function, kinds = _GENERATORS[name]
+    n = kinds.count("complex")
+    if not n:
+        if len(args) != len(kinds) or not all(isinstance(a, int) for a in args):
+            raise ValueError(f"{name} takes exactly {len(kinds)} integer parameter(s)")
+        return function(*args)
+    if "vertex" in kinds:
+        if len(args) not in (n, len(kinds)):
+            raise ValueError(
+                f"{name} takes two complex-valued arguments, optionally followed by "
+                "the two vertices to identify"
+            )
+        if not all(isinstance(a, int) for a in args[n:]):
+            raise ValueError(f"{name} vertices must be integers")
+    elif len(args) != n:
+        count = "one complex-valued argument" if n == 1 else "two complex-valued arguments"
+        raise ValueError(f"{name} takes exactly {count}")
+    return function(*map(_build, args[:n]), *args[n:])
 
 
 def generate(spec: str) -> tuple[str, SimplicialComplex]:

@@ -15,16 +15,15 @@ first within its dimension).  They share the complex's link table and the
 Betti numbers memoized on every link, and build a link only where counting
 cannot decide.
 
-A face is tested only after all its cofaces passed, and the cofaces of F
-are the faces of lk(F), so lk(F) is then a homology manifold.  Up to
-dimension 2 such a link is a sphere by counting alone, read off its facets
-(:func:`_is_sphere_facets`), and the facets of all links of one
-codimension come from one pass over the complex's (:func:`_link_facets`).
-:func:`classify` and :func:`is_cohen_macaulay` read every link condition
-off one lazy walk (:func:`_link_records`); a variant skipping a face once
-each of its vertices has a failing face checks every vertex link in one
-pass (:func:`_non_sphere_links`).  The Euler characteristic of every link
-is a signed count of faces (:func:`_eulerian_condition`).
+Every link sphere test is one lazy top-down walk, :func:`_link_records`, which
+the manifold, sphere, Cohen-Macaulay and UBC vertex-link checks and
+:func:`classify` all read.  A face is tested only after all its cofaces
+passed, and the cofaces of F are the faces of lk(F), so lk(F) is then a
+homology manifold.  Up to dimension 2 such a link is a sphere by counting
+alone, read off its facets (:func:`_is_sphere_facets`), and the facets of
+all links of one codimension come from one pass over the complex's
+(:func:`_link_facets`).  The Euler characteristic of every link of one
+level is a signed count of faces (:func:`_link_chi`).
 """
 
 from __future__ import annotations
@@ -195,23 +194,32 @@ def is_semi_eulerian(sc: SimplicialComplex):
 
 def _eulerian_condition(sc: SimplicialComplex, include_empty: bool):
     """The first face, top-down, whose link has the wrong chi, with no link
-    built: the faces of lk(F) are the faces H strictly containing F, so for
-    an i-face chi(lk F) = sum_H (-1)^(dim H - i - 1), and each face above
-    level i adds its sign to each of its (i+1)-subsets."""
+    built (:func:`_link_chi`)."""
     if not sc.is_pure:
         return None, Witness(None, "complex is not pure")
     d = sc.dim
     for i in range(d - 1, -1, -1):  # a facet's link is the (-1)-sphere
-        odd, even = (
-            Counter(chain.from_iterable(combinations(h, i + 1) for j in js for h in sc.faces(j)))
-            for js in (range(i + 1, d + 1, 2), range(i + 2, d + 1, 2))
-        )
+        chi = _link_chi(sc, i)
         for face in sc.faces(i):
-            wit = _euler_failure(face, odd[face] - even[face], d - i - 1)
+            wit = _euler_failure(face, chi[face], d - i - 1)
             if wit:
                 return False, wit
     wit = include_empty and _euler_failure((), sc.euler_characteristic(), d)
     return (False, wit) if wit else (True, None)
+
+
+def _link_chi(sc: SimplicialComplex, i: int) -> Counter:
+    """{F: chi(lk F)} over the i-faces F of a pure complex, with no link
+    built: the faces of lk(F) are the H - F over the faces H strictly
+    containing F, so chi(lk F) = sum_H (-1)^(dim H - i - 1), and each face
+    above level i adds its sign to each of its (i+1)-subsets."""
+    d = sc.dim
+    chi, even = (
+        Counter(chain.from_iterable(combinations(h, i + 1) for j in js for h in sc.faces(j)))
+        for js in (range(i + 1, d + 1, 2), range(i + 2, d + 1, 2))
+    )
+    chi.subtract(even)
+    return chi
 
 
 def _euler_failure(face: Face, chi: int, m: int) -> Witness | None:
@@ -270,20 +278,22 @@ def _manifold_chi(facets) -> int:
     return len({v for f in facets for v in f}) - len(facets) // 2
 
 
-def _link_records(sc: SimplicialComplex):
-    """Yield (F, sphere) lazily, top-down over the nonempty faces.
+def _link_records(sc: SimplicialComplex, lowest: int = 0):
+    """Yield (F, sphere) lazily, top-down over the faces of dimension
+    dim - 1 .. lowest (lowest >= 0).  The facets of dimension dim are left
+    out: their link is the (-1)-sphere.
 
     sphere is :func:`_is_sphere_manifold` of lk F when the complex is pure
     and every face F + v one dimension up had sphere True: by induction all
     cofaces of F passed, so lk F is a homology manifold.  Otherwise sphere
     is None, untested; the first face whose sphere is not True has a bool.
-    Codimensions 0 to 3 are walked and decided on one :func:`_link_facets`
+    Codimensions 1 to 3 are walked and decided on one :func:`_link_facets`
     grouping each, so lk F is built only from codimension 4 on, and a pure
-    complex of dimension <= 2 builds no face lattice either.
+    complex of dimension <= 3 builds no face lattice either.
     """
     pure, d = sc.is_pure, sc.dim
     failed: set[Face] = set()  # faces with a coface one dimension up not a sphere
-    for i in range(d, -1, -1):
+    for i in range(d - 1, lowest - 1, -1):
         groups = _link_facets(sc, d - i) if pure and d - i <= 3 else None
         for face in sc.faces(i) if groups is None else sorted(groups):
             if not pure or face in failed:
@@ -311,31 +321,6 @@ def _link_facets(sc: SimplicialComplex, c: int) -> dict[Face, list[Face]]:
         for face, rest in zip(combinations(facet, len(facet) - c), reversed(links)):
             groups.setdefault(face, []).append(rest)
     return groups
-
-
-def _non_sphere_links(sc: SimplicialComplex, lowest: int):
-    """Yield (F, lk F), top-down over the faces of a pure complex of
-    dimension dim - 1 .. lowest (lowest >= 0), for each F whose link is not
-    a homology sphere of dimension dim - |F|.  A face is skipped once each
-    of its vertices lies in a face already yielded.  A face F that is tested
-    has a vertex in no yielded face, so its cofaces were tested and passed,
-    and its link is decided as in :func:`_link_records`; lk(F) is built only
-    for a yielded face and from codimension 4 on.
-    """
-    covered: set[int] = set()
-    d = sc.dim
-    for i in range(d - 1, lowest - 1, -1):
-        groups = _link_facets(sc, d - i) if d - i <= 3 else None
-        for face in sc.faces(i):
-            if covered.issuperset(face):
-                continue
-            if groups is None:
-                sphere = _is_sphere_manifold(sc._face_link(face))
-            else:
-                sphere = _is_sphere_facets(groups[face], d - i - 1)
-            if not sphere:
-                covered.update(face)
-                yield face, sc._face_link(face)
 
 
 def _not_a_sphere(link: SimplicialComplex) -> str:
@@ -384,10 +369,9 @@ def is_homology_manifold(sc: SimplicialComplex):
     """
     if not sc.is_pure:
         return None, None, Witness(None, "complex is not pure")
-    failure = next(_non_sphere_links(sc, 0), None)
+    failure = next((face for face, sphere in _link_records(sc) if not sphere), None)
     if failure is not None:
-        face, link = failure
-        return False, None, Witness(face, _not_a_sphere(link))
+        return False, None, Witness(failure, _not_a_sphere(sc._face_link(failure)))
     return True, _is_orientable(sc) if sc.dim >= 0 else None, None
 
 
@@ -401,7 +385,7 @@ def is_homology_sphere(sc: SimplicialComplex) -> bool:
     the manifold walk passes, the complex meets the precondition of
     :func:`_is_sphere_manifold`: up to dimension 2 no Betti number is
     computed."""
-    if not sc.is_pure or next(_non_sphere_links(sc, 0), None) is not None:
+    if not sc.is_pure or not all(sphere for _, sphere in _link_records(sc)):
         return False
     return _is_sphere_manifold(sc)
 

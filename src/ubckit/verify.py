@@ -16,10 +16,9 @@ from .complexes import SimplicialComplex
 from .cyclic import cyclic_h
 from .homology import (
     _is_orientable,
-    _link_facets,
-    _manifold_chi,
+    _link_chi,
+    _link_records,
     _middle_betti_bound,
-    _non_sphere_links,
     _not_a_sphere,
     betti_numbers,
     is_buchsbaum,
@@ -150,19 +149,19 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     vertex link is a homology manifold with vanishing middle homology or
     with (-1)^k (chi - 2) <= 0.
 
-    The vertex links are checked in one top-down pass over the faces of
-    dimension dim .. 1 (:func:`~ubckit.homology._non_sphere_links`), not
+    The vertex links are checked in one top-down walk of the faces of
+    dimension dim - 1 .. 1 (:func:`~ubckit.homology._link_records`), not
     one :func:`is_homology_manifold` per link.  The faces of lk(v) are the
     G - v for faces G containing v, with lk_{lk v}(G - v) = lk(G), and on
-    faces containing v the order (-dim, G) is the order (-dim, G - v); so
-    the first failing face found for v, and its reason, are the ones
-    is_homology_manifold(lk v) reports.  A face is skipped once each of its
-    vertices has failed.  The links of dimension <= 2 are tested on facet
-    lists grouped from the complex's facets, one grouping per codimension
-    (:func:`~ubckit.homology._link_facets`), and a 3-dimensional complex
-    takes the chi of its 2-dimensional vertex links from the grouping in
-    codimension 3; a link complex is built only for a failing face, a link
-    of dimension >= 3, or a vertex link that needs Betti numbers.
+    faces containing v the order (-dim, G) is the order (-dim, G - v).  The
+    cofaces of the first face G containing v whose link is not a sphere
+    all contain v and passed, so the walk tests G, and G and its reason are
+    the ones is_homology_manifold(lk v) reports.  The reason is computed
+    only for a face with a vertex not yet failed, and the walk stops once
+    every vertex has failed.  The chi of every vertex link comes from one
+    count of the faces (:func:`~ubckit.homology._link_chi`), made unless
+    every vertex failed; a link complex is built only for a failing face,
+    a link of dimension >= 3, or a vertex link that needs Betti numbers.
     """
     if mode not in ("theorem", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -178,23 +177,33 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
             reason = "pseudomanifold is not orientable"
         items.append(Hypothesis("complex is an oriented pseudomanifold", ok, reason))
     failures: dict[int, str] = {}
-    for face, link in _non_sphere_links(sc, 1):
-        reason = f"link is not a homology manifold: {_not_a_sphere(link)}"
-        for v in face:
-            failures.setdefault(v, reason)
+    for face, sphere in _link_records(sc, 1):
+        if sphere is False and any(v not in failures for v in face):
+            reason = f"link is not a homology manifold: {_not_a_sphere(sc._face_link(face))}"
+            for v in face:
+                failures.setdefault(v, reason)
+            if len(failures) == sc.n_vertices:
+                break
     check = _admissible_link_theorem if mode == "theorem" else _admissible_link_corollary
-    vertex_links = _link_facets(sc, 3) if k == 1 else None
+    chi = _link_chi(sc, 0) if len(failures) < sc.n_vertices else None
     for v in sc.vertices:
         if v in failures:
             ok, reason = False, failures[v]
         else:
-            if vertex_links is None:
-                chi = sc._face_link((v,)).euler_characteristic()
-            else:
-                chi = _manifold_chi(vertex_links[(v,)])
-            ok, reason = check(sc, v, chi, k)
+            ok, reason = check(sc, v, chi[(v,)], k)
         items.append(Hypothesis(f"link of vertex {v} is admissible", ok, reason))
     return tuple(items)
+
+
+def _h_rows(h_here, d: int, n: int, stop: int, binding: bool = True) -> list[Inequality]:
+    """The rows h_i <= h_i(C_d(n)) for i = 0 .. stop - 1."""
+    rows = []
+    for i in range(stop):
+        h_cyc = cyclic_h(d, n, i)
+        rows.append(
+            Inequality(f"h_{i} <= h_{i}(C_{d}({n}))", h_here[i], h_cyc, h_here[i] <= h_cyc, binding)
+        )
+    return rows
 
 
 def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
@@ -233,17 +242,7 @@ def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
         )
         for i in range(0, k + 2)
     )
-    h_here = h_from_f(f_here)
-    conclusions.extend(
-        Inequality(
-            f"h_{i} <= h_{i}(C_{d}({n}))",
-            h_here[i],
-            h_cyc[i],
-            h_here[i] <= h_cyc[i],
-            binding=False,
-        )
-        for i in range(0, k + 2)
-    )
+    conclusions += _h_rows(h_from_f(f_here), d, n, k + 2, binding=False)
     return VerificationReport("ubc", hypotheses, tuple(conclusions))
 
 
@@ -287,17 +286,8 @@ def check_lemma_hh(sc: SimplicialComplex, k: int | None = None) -> VerificationR
         "chi = 2, or orientable with the middle Betti bound", alt_status, alt_reason
     )
 
-    h_here = h_from_f(sc.f_vector())
-    conclusions = tuple(
-        Inequality(
-            f"h_{i} <= h_{i}(C_{d}({r}))",
-            h_here[i],
-            cyclic_h(d, r, i),
-            h_here[i] <= cyclic_h(d, r, i),
-        )
-        for i in range(0, k + 2)
-    )
-    return VerificationReport("lemma-hh", (hyp_manifold, hyp_alt), conclusions)
+    conclusions = _h_rows(h_from_f(sc.f_vector()), d, r, k + 2)
+    return VerificationReport("lemma-hh", (hyp_manifold, hyp_alt), tuple(conclusions))
 
 
 def check_sphere_ubc(sc: SimplicialComplex) -> VerificationReport:
@@ -310,16 +300,7 @@ def check_sphere_ubc(sc: SimplicialComplex) -> VerificationReport:
     ]
     conclusions: tuple[Inequality, ...]
     if d >= 2 and n >= d + 1:
-        h_here = h_from_f(sc.f_vector())
-        conclusions = tuple(
-            Inequality(
-                f"h_{i} <= h_{i}(C_{d}({n}))",
-                h_here[i],
-                cyclic_h(d, n, i),
-                h_here[i] <= cyclic_h(d, n, i),
-            )
-            for i in range(0, d)
-        )
+        conclusions = tuple(_h_rows(h_from_f(sc.f_vector()), d, n, d))
     else:
         hypotheses.append(
             Hypothesis(

@@ -149,6 +149,48 @@ def test_generate_unknown_or_bad_arity():
         generate("suspension(3)")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("boundary-simplex", "boundary-simplex takes exactly 1 integer parameter(s)"),
+        ("boundary-simplex 3 4", "boundary-simplex takes exactly 1 integer parameter(s)"),
+        ("cross-polytope(torus-7)", "cross-polytope takes exactly 1 integer parameter(s)"),
+        ("cyclic 4", "cyclic takes exactly 2 integer parameter(s)"),
+        ("cyclic(4, torus-7)", "cyclic takes exactly 2 integer parameter(s)"),
+        ("torus-7 3", "torus-7 takes exactly 0 integer parameter(s)"),
+        ("rp2-6(rp2-6)", "rp2-6 takes exactly 0 integer parameter(s)"),
+        ("cone", "cone takes exactly one complex-valued argument"),
+        ("cone(torus-7, torus-7)", "cone takes exactly one complex-valued argument"),
+        ("cone(3)", "integer given where a complex-valued spec was expected"),
+        ("suspension", "suspension takes exactly one complex-valued argument"),
+        ("suspension(3)", "integer given where a complex-valued spec was expected"),
+        ("join(torus-7)", "join takes exactly two complex-valued arguments"),
+        ("join(torus-7, 3)", "integer given where a complex-valued spec was expected"),
+        ("disjoint-union 1 2 3", "disjoint-union takes exactly two complex-valued arguments"),
+        ("disjoint-union(3, torus-7)", "integer given where a complex-valued spec was expected"),
+        (
+            "wedge(torus-7)",
+            "wedge takes two complex-valued arguments, optionally followed by "
+            "the two vertices to identify",
+        ),
+        (
+            "wedge(torus-7, torus-7, 0)",
+            "wedge takes two complex-valued arguments, optionally followed by "
+            "the two vertices to identify",
+        ),
+        ("wedge(torus-7, torus-7, torus-7, 0)", "wedge vertices must be integers"),
+        ("wedge(torus-7, torus-7, 0, rp2-6)", "wedge vertices must be integers"),
+        ("wedge(3, torus-7, 0, 0)", "integer given where a complex-valued spec was expected"),
+        ("wedge(torus-7, torus-7, 0, 99)", "vertex 99 not present in the second complex"),
+        ("cone(cyclic(4))", "cyclic takes exactly 2 integer parameter(s)"),
+    ],
+)
+def test_generator_argument_errors_are_pinned(spec, message):
+    with pytest.raises(ValueError) as err:
+        generate(spec)
+    assert str(err.value) == message
+
+
 def test_generate_is_deterministic():
     a = generate("join(boundary-simplex(2),boundary-simplex(2))")
     b = generate("join(boundary-simplex(2),boundary-simplex(2))")

@@ -11,6 +11,7 @@ from oracles import (
     reisner_cohen_macaulay,
     vertex_link_buchsbaum,
 )
+from ubckit import homology
 from ubckit import (
     boundary_simplex,
     build_complex,
@@ -111,3 +112,18 @@ def test_chi_count_matches_the_links(sc):
             assert check(build_complex(sc.facets)) == (wit is None, wit)
         else:
             assert check(sc) == (None, (None, "complex is not pure"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(complexes(), RANDOM))
+@example(cross_polytope(4))
+@example(torus_7())
+def test_link_records_start_below_the_facets(sc):
+    # a facet's link is the (-1)-sphere, so the walk starts one level down:
+    # a pure complex's facets are never yielded, and the walk ends at lowest
+    if sc.is_pure:
+        assert not set(sc.facets) & {face for face, _ in homology._link_records(sc)}
+    for lowest in range(0, sc.dim + 1):
+        assert [face for face, _ in homology._link_records(sc, lowest)] == [
+            face for i in range(sc.dim - 1, lowest - 1, -1) for face in sc.faces(i)
+        ]

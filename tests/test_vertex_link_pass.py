@@ -5,7 +5,7 @@ rank-free sphere test and Euler characteristic against brute force."""
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_betti, brute_force_f_vector, per_vertex_ubc_hypotheses, scan_link
@@ -93,6 +93,15 @@ def odd_complexes(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(odd_complexes(), st.sampled_from(["theorem", "corollary"]))
+# every vertex link of these 5-dimensional joins fails, so the walk stops
+# once all vertices have failed; the reason is computed only for a failing
+# face with a vertex not yet failed.  The second has its vertex ids
+# permuted (v -> 5v + 3 mod 13).
+@example(join(torus_7(), torus_7()), "theorem")
+@example(
+    join(projective_plane_6(), torus_7()).relabeled({v: (5 * v + 3) % 13 for v in range(13)}),
+    "corollary",
+)
 def test_one_pass_matches_per_vertex_oracle(sc, mode):
     assert check_ubc_hypotheses(sc, mode) == per_vertex_ubc_hypotheses(sc, mode)
 
@@ -190,6 +199,17 @@ def test_classify_and_dehn_sommerville_build_no_link():
     sc = gale_facets(4, 30)
     assert check_dehn_sommerville(sc).overall == "pass"
     assert sc._links is None
+
+
+def test_ubc_hypotheses_build_no_vertex_link_lattice():
+    # every vertex link of a cyclic 5-sphere passes, and its chi is counted
+    # off the faces: the edge links take the Betti route, which builds their
+    # parent vertex links but not the vertex links' face lattices
+    sc = gale_facets(6, 12)
+    assert all(h.status for h in check_ubc_hypotheses(sc))
+    vertex_links = [sc._links[(v,)] for v in sc.vertices if (v,) in sc._links]
+    assert vertex_links
+    assert [lk for lk in vertex_links if lk._by_dim is not None] == []
 
 
 def test_lower_bounds_build_only_the_vertex_links():
