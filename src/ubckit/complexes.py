@@ -15,7 +15,7 @@ does; nothing is cached across complexes.
 
 from __future__ import annotations
 
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from typing import Iterable
 
 from .vectors import FVector
@@ -47,8 +47,18 @@ class SimplicialComplex:
                  "_links", "_root", "_face", "_betti")
 
     def __init__(self, faces: Iterable[Iterable[int]]) -> None:
-        normalized = sorted({normalize_face(f) for f in faces}, key=lambda f: (-len(f), f))
-        if not normalized:
+        self._absorb({normalize_face(f) for f in faces})
+
+    @classmethod
+    def _from_faces(cls, faces: Iterable[Face]) -> SimplicialComplex:
+        """Complex generated by faces already normalized: skips
+        normalization, keeps dedup and absorption."""
+        sc = cls.__new__(cls)
+        sc._absorb(set(faces))
+        return sc
+
+    def _absorb(self, distinct: set[Face]) -> None:
+        if not distinct:
             raise ValueError(
                 "no faces given: the void complex is not representable "
                 "(use [[]] for the empty complex)"
@@ -57,14 +67,12 @@ class SimplicialComplex:
         # contain each other: test each only against longer kept faces
         kept: list[Face] = []
         longer: list[frozenset[int]] = []
-        for _, same_size in groupby(normalized, key=len):
-            block = []
-            for face in same_size:
-                fs = frozenset(face)
-                if not any(fs <= other for other in longer):
-                    kept.append(face)
-                    block.append(fs)
-            longer += block
+        block: list[Face] = []
+        for _, same_size in groupby(sorted(distinct, key=len, reverse=True), key=len):
+            longer += map(frozenset, block)
+            block = [face for face in same_size
+                     if not any(other.issuperset(face) for other in longer)]
+            kept += block
         self._set_facets(tuple(sorted(kept)))
 
     @classmethod
@@ -111,16 +119,17 @@ class SimplicialComplex:
         return self._pure
 
     def _lattice(self) -> dict[int, tuple[Face, ...]]:
+        """{i: the i-faces, sorted} for i = -1 .. dim.  Each level is one set
+        of the k-subsets of the facets, k = i + 1; a facet with fewer than k
+        vertices gives none."""
         by_dim = self._by_dim
         if by_dim is None:
-            closure: set[Face] = {()}
-            for facet in self._facets:
-                for k in range(1, len(facet) + 1):
-                    closure.update(combinations(facet, k))
-            grouped: dict[int, list[Face]] = {}
-            for face in closure:
-                grouped.setdefault(len(face) - 1, []).append(face)
-            by_dim = {i: tuple(sorted(grouped[i])) for i in sorted(grouped)}
+            facets, d = self._facets, self._dim
+            by_dim = {-1: ((),)}
+            for k in range(1, d + 1):
+                level = set(chain.from_iterable(combinations(f, k) for f in facets))
+                by_dim[k - 1] = tuple(sorted(level))
+            by_dim[d] = tuple(f for f in facets if len(f) == d + 1)  # sorted already
             self._by_dim = by_dim  # idempotent write
         return by_dim
 

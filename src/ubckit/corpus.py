@@ -16,7 +16,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .complexes import SimplicialComplex
-from .cyclic import gale_facets
+from .cyclic import _check_spec, cyclic_h, gale_facets
+from .facetfile import MAX_FACES
 from .homology import betti_numbers, is_cohen_macaulay, is_homology_manifold
 
 
@@ -235,55 +236,77 @@ def spec_name(node) -> str:
     return f"{name}({','.join(spec_name(a) for a in args)})"
 
 
-# name: (function, argument kinds).  "int" is an integer parameter and
+_OVER = MAX_FACES + 1  # stands for every span above the limit
+
+
+def _cyclic_span(d: int, n: int) -> int:
+    _check_spec(d, n)
+    return sum(cyclic_h(d, n, i) for i in range(d + 1)) << d if d <= 20 else _OVER
+
+
+# name: (function, argument kinds, span).  "int" is an integer parameter and
 # "complex" a complex-valued spec; "vertex" marks wedge's optional pair of
-# vertices to identify, given both or neither.
+# vertices to identify, given both or neither.  The span is the sum of
+# 2^|F| over the facets the generator returns, the bound a facet file must
+# meet: from the integer parameters for a leaf, from the spans of the
+# complex-valued arguments otherwise (an upper bound for wedge, which may
+# absorb an isolated vertex).
 _GENERATORS = {
-    "boundary-simplex": (boundary_simplex, ("int",)),
-    "cross-polytope": (cross_polytope, ("int",)),
-    "cyclic": (gale_facets, ("int", "int")),
-    "torus-7": (torus_7, ()),
-    "rp2-6": (projective_plane_6, ()),
-    "cone": (cone, ("complex",)),
-    "suspension": (suspension, ("complex",)),
-    "join": (join, ("complex", "complex")),
-    "disjoint-union": (disjoint_union, ("complex", "complex")),
-    "wedge": (wedge, ("complex", "complex", "vertex", "vertex")),
+    "boundary-simplex": (boundary_simplex, ("int",), lambda d: (d + 1) << d if d <= 20 else _OVER),
+    "cross-polytope": (cross_polytope, ("int",), lambda d: 4**d if d <= 10 else _OVER),
+    "cyclic": (gale_facets, ("int", "int"), _cyclic_span),
+    "torus-7": (torus_7, (), lambda: len(_TORUS_7_FACETS) << 3),
+    "rp2-6": (projective_plane_6, (), lambda: len(_RP2_6_FACETS) << 3),
+    "cone": (cone, ("complex",), lambda s: 2 * s),
+    "suspension": (suspension, ("complex",), lambda s: 4 * s),
+    "join": (join, ("complex", "complex"), lambda a, b: a * b),
+    "disjoint-union": (disjoint_union, ("complex", "complex"), lambda a, b: a + b),
+    "wedge": (wedge, ("complex", "complex", "vertex", "vertex"), lambda a, b: a + b),
 }
 
 
-def _build(node) -> SimplicialComplex:
+def _build(node) -> tuple[int, SimplicialComplex]:
+    """(span, complex) for a parsed spec.  Each node's span is checked
+    against MAX_FACES before the node builds a facet, and after its
+    arguments are built, so the errors keep the order of building."""
     if isinstance(node, int):
         raise ValueError("integer given where a complex-valued spec was expected")
     name, *args = node
     if name not in _GENERATORS:
         known = ", ".join(sorted(_GENERATORS))
         raise ValueError(f"unknown generator {name!r} (known: {known})")
-    function, kinds = _GENERATORS[name]
+    function, kinds, span = _GENERATORS[name]
     n = kinds.count("complex")
     if not n:
         if len(args) != len(kinds) or not all(isinstance(a, int) for a in args):
             raise ValueError(f"{name} takes exactly {len(kinds)} integer parameter(s)")
-        return function(*args)
-    if "vertex" in kinds:
-        if len(args) not in (n, len(kinds)):
-            raise ValueError(
-                f"{name} takes two complex-valued arguments, optionally followed by "
-                "the two vertices to identify"
-            )
-        if not all(isinstance(a, int) for a in args[n:]):
-            raise ValueError(f"{name} vertices must be integers")
-    elif len(args) != n:
-        count = "one complex-valued argument" if n == 1 else "two complex-valued arguments"
-        raise ValueError(f"{name} takes exactly {count}")
-    return function(*map(_build, args[:n]), *args[n:])
+        size, inputs = span(*args), args
+    else:
+        if "vertex" in kinds:
+            if len(args) not in (n, len(kinds)):
+                raise ValueError(
+                    f"{name} takes two complex-valued arguments, optionally followed by "
+                    "the two vertices to identify"
+                )
+            if not all(isinstance(a, int) for a in args[n:]):
+                raise ValueError(f"{name} vertices must be integers")
+        elif len(args) != n:
+            count = "one complex-valued argument" if n == 1 else "two complex-valued arguments"
+            raise ValueError(f"{name} takes exactly {count}")
+        sizes, built = zip(*map(_build, args[:n]))
+        size, inputs = span(*sizes), (*built, *args[n:])
+    if size > MAX_FACES:
+        raise ValueError(f"{spec_name(node)} would span more than the limit of {MAX_FACES} faces")
+    return size, function(*inputs)
 
 
 def generate(spec: str) -> tuple[str, SimplicialComplex]:
     """Build the complex described by a generator spec string.
 
     Returns (canonical name, complex); the same spec always produces the
-    same facet list.
+    same facet list.  A spec whose facets would span more than MAX_FACES
+    faces, the limit of a facet file, is rejected before any complex over
+    the limit is built.
     """
     node = parse_spec(spec)
-    return spec_name(node), _build(node)
+    return spec_name(node), _build(node)[1]

@@ -70,6 +70,7 @@ def parse_facet_text(text: str) -> tuple[str, SimplicialComplex]:
         raise FacetFileError(
             '"facets" is empty: the void complex is not representable (use [[]] for the empty complex)'
         )
+    faces = []
     for idx, facet in enumerate(facets):
         if not isinstance(facet, list):
             raise FacetFileError(f"facet #{idx} is not an array{_at_line(text, idx)}")
@@ -79,15 +80,15 @@ def parse_facet_text(text: str) -> tuple[str, SimplicialComplex]:
                     f"facet #{idx} holds a non-integer vertex {v!r}{_at_line(text, idx)}"
                 )
         try:
-            normalize_face(facet)
+            faces.append(normalize_face(facet))
         except ValueError as e:
             raise FacetFileError(f"facet #{idx}: {e}{_at_line(text, idx)}") from None
-    bound = sum(2 ** len(facet) for facet in facets)
+    bound = sum(2 ** len(face) for face in faces)
     if bound > MAX_FACES:
         raise FacetFileError(
             f"the facets span up to {bound} faces, more than the limit of {MAX_FACES}"
         )
-    return doc["name"], SimplicialComplex(facets)
+    return doc["name"], SimplicialComplex._from_faces(faces)
 
 
 def render_facet_text(name: str, sc: SimplicialComplex) -> str:

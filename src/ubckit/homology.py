@@ -260,11 +260,28 @@ def _is_sphere_manifold(link: SimplicialComplex) -> bool:
 def _is_sphere_facets(facets, m: int) -> bool:
     """:func:`_is_sphere_manifold` for m <= 2, given the facets of the link
     (pure, of dimension m): 2 points; connected; connected with chi = 2
-    (:func:`_manifold_chi`).  Connectivity needs only the edges from the
-    first vertex of each facet to its other vertices."""
+    (:func:`_manifold_chi`).
+
+    For m = 1 every vertex has exactly two neighbours, so each component is
+    a cycle: one walk from the first edge round its cycle comes back after
+    as many steps as the cycle has vertices, and the link is connected when
+    that is all of them.  For m = 2 connectivity needs only the edges from
+    the first vertex of each facet to its other vertices."""
     if m <= 0:
         return m == -1 or len(facets) == 2
-    if m == 2 and _manifold_chi(facets) != 2:
+    if m == 1:
+        adjacent: dict[int, list[int]] = {}
+        for a, b in facets:
+            adjacent.setdefault(a, []).append(b)
+            adjacent.setdefault(b, []).append(a)
+        start, v = facets[0]
+        previous, steps = start, 1
+        while v != start:
+            a, b = adjacent[v]
+            previous, v = v, b if a == previous else a
+            steps += 1
+        return steps == len(adjacent)
+    if _manifold_chi(facets) != 2:
         return False
     vertices = {v for f in facets for v in f}
     return _count_classes(vertices, [(f[0], v) for f in facets for v in f[1:]]) == 1

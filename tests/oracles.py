@@ -84,6 +84,16 @@ def brute_force_f_vector(facets) -> tuple[int, ...]:
     return tuple(counts[i] for i in range(-1, top + 1))
 
 
+def brute_force_faces(facets, i: int) -> tuple[tuple[int, ...], ...]:
+    """The i-faces, sorted, by testing every (i+1)-subset of the vertex set
+    for containment in some facet."""
+    if i < -1:
+        return ()
+    facet_sets = [frozenset(f) for f in facets]
+    vertices = sorted({v for f in facet_sets for v in f})
+    return tuple(c for c in combinations(vertices, i + 1) if any(set(c) <= f for f in facet_sets))
+
+
 def rank_fraction(mat) -> int:
     """Matrix rank over the rationals by plain Gaussian elimination."""
     if not mat or not mat[0]:

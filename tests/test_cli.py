@@ -238,6 +238,16 @@ def test_facet_file_with_too_many_faces_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("huge.json  error: ")
 
 
+def test_gen_over_the_face_limit_is_a_usage_error(tmp_path, capsys):
+    # 26 facets of 25 vertices span 26 * 2^25 faces: no facet file may hold them
+    path = tmp_path / "big.json"
+    assert main(["gen", "boundary-simplex", "25", "-o", str(path)]) == 64
+    assert capsys.readouterr().err == (
+        f"ubckit: error: boundary-simplex-25 would span more than the limit of {MAX_FACES} faces\n"
+    )
+    assert not path.exists()
+
+
 def test_non_utf8_facet_file_names_the_path(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{")

@@ -3,11 +3,11 @@
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus_data import CORPUS
-from oracles import brute_force_f_vector, brute_force_maximal_faces, scan_link
+from oracles import brute_force_f_vector, brute_force_faces, brute_force_maximal_faces, scan_link
 from ubckit import SimplicialComplex, build_complex, normalize_face
 
 
@@ -53,6 +53,23 @@ def face_lists(draw):
 @given(face_lists())
 def test_absorption_keeps_the_maximal_faces(faces):
     assert SimplicialComplex(faces).facets == brute_force_maximal_faces(faces)
+
+
+PURE_FACE_LISTS = st.integers(0, 6).flatmap(
+    lambda size: st.lists(
+        st.sets(st.integers(0, 9), min_size=size, max_size=size), min_size=1, max_size=10
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(face_lists(), PURE_FACE_LISTS))
+@example([[]])
+@example([[0, 1, 2], [3]])
+def test_faces_match_the_brute_force_closure(faces):
+    sc = SimplicialComplex(faces)
+    for i in range(-2, sc.dim + 2):
+        assert sc.faces(i) == brute_force_faces(sc.facets, i)
 
 
 def test_duplicate_vertex_rejected():

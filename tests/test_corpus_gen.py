@@ -18,7 +18,8 @@ from ubckit import (
     torus_7,
     wedge,
 )
-from ubckit.corpus import MAX_SPEC_DEPTH
+from ubckit.corpus import MAX_SPEC_DEPTH, _build
+from ubckit.facetfile import MAX_FACES
 
 
 def test_boundary_simplex():
@@ -189,6 +190,100 @@ def test_generator_argument_errors_are_pinned(spec, message):
     with pytest.raises(ValueError) as err:
         generate(spec)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("boundary-simplex 0", "simplex dimension must be >= 1, got 0"),
+        ("cross-polytope 0", "cross-polytope dimension must be >= 1, got 0"),
+        ("cyclic 1 5", "cyclic polytope dimension must be >= 2, got 1"),
+        ("cyclic 1 0", "cyclic polytope dimension must be >= 2, got 1"),
+        ("cyclic 4 4", "need more vertices than the dimension, got n=4, d=4"),
+        ("cyclic 30 20", "need more vertices than the dimension, got n=20, d=30"),
+        ("wedge(torus-7, rp2-6, 7, 0)", "vertex 7 not present in the first complex"),
+        ("cone(suspension(cross-polytope(0)))", "cross-polytope dimension must be >= 1, got 0"),
+        # the first failing argument, in build order, names the error
+        ("join(boundary-simplex(0), cyclic(4))", "simplex dimension must be >= 1, got 0"),
+        ("join(cyclic(4), boundary-simplex(0))", "cyclic takes exactly 2 integer parameter(s)"),
+        (
+            "disjoint-union(cyclic(3, 3), cross-polytope(0))",
+            "need more vertices than the dimension, got n=3, d=3",
+        ),
+        (
+            "join(wedge(torus-7, torus-7, 0, 99), boundary-simplex(0))",
+            "vertex 99 not present in the second complex",
+        ),
+        ("wedge(cone(cyclic(2, 2)), torus-7, 0, 99)", "need more vertices than the dimension, got n=2, d=2"),
+    ],
+)
+def test_generator_value_errors_are_pinned(spec, message):
+    with pytest.raises(ValueError) as err:
+        generate(spec)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "boundary-simplex 1",
+        "boundary-simplex 15",
+        "cross-polytope 3",
+        "cyclic 2 7",
+        "cyclic 5 9",
+        "cyclic 6 8",
+        "torus-7",
+        "rp2-6",
+        "cone(cyclic(3, 6))",
+        "suspension(cone(rp2-6))",
+        "join(rp2-6, boundary-simplex(2))",
+        "disjoint-union(torus-7, cross-polytope(3))",
+        "wedge(torus-7, rp2-6)",
+        "wedge(cross-polytope(2), boundary-simplex(3), 3, 2)",
+    ],
+)
+def test_spec_span_is_the_facet_file_bound(spec):
+    size, sc = _build(parse_spec(spec))
+    assert size == sum(2 ** len(f) for f in sc.facets)
+
+
+def test_wedge_span_bounds_an_absorbed_vertex():
+    # boundary-simplex 1 is two points; one of them is identified with a
+    # vertex of the torus and absorbed
+    size, sc = _build(parse_spec("wedge(torus-7, boundary-simplex(1))"))
+    assert size == 112 + 4 > sum(2 ** len(f) for f in sc.facets) == 112 + 2
+
+
+def test_spec_at_the_face_limit_is_built():
+    size, sc = _build(parse_spec("cross-polytope 10"))
+    assert size == MAX_FACES == sum(2 ** len(f) for f in sc.facets)
+
+
+@pytest.mark.parametrize(
+    "spec, node",
+    [
+        ("boundary-simplex 25", "boundary-simplex-25"),
+        ("boundary-simplex 16", "boundary-simplex-16"),
+        ("boundary-simplex 1234567890123456789", "boundary-simplex-1234567890123456789"),
+        ("cross-polytope 11", "cross-polytope-11"),
+        ("cross-polytope 30", "cross-polytope-30"),
+        ("cyclic 4 1000000000", "cyclic-4-1000000000"),
+        ("cyclic 40 100", "cyclic-40-100"),
+        ("cyclic 2 262145", "cyclic-2-262145"),
+        ("cone(cross-polytope(10))", "cone(cross-polytope-10)"),
+        ("suspension(boundary-simplex(15))", "suspension(boundary-simplex-15)"),
+        ("join(cross-polytope(10), boundary-simplex(1))", "join(cross-polytope-10,boundary-simplex-1)"),
+        ("join(cross-polytope(30), cyclic(4, 4))", "cross-polytope-30"),
+        ("disjoint-union(cross-polytope(10), torus-7)", "disjoint-union(cross-polytope-10,torus-7)"),
+        ("wedge(torus-7, cross-polytope(10), 0, 99)", "wedge(torus-7,cross-polytope-10,0,99)"),
+    ],
+)
+def test_spec_over_the_face_limit_is_rejected_before_it_is_built(spec, node):
+    # the first node over the limit, in build order, is named; nothing
+    # above the limit is built, so even 2^30 facets are rejected at once
+    with pytest.raises(ValueError) as err:
+        generate(spec)
+    assert str(err.value) == f"{node} would span more than the limit of {MAX_FACES} faces"
 
 
 def test_generate_is_deterministic():

@@ -171,6 +171,29 @@ def test_sphere_test_agrees_with_brute_force_in_the_vertex_link_pass(sc):
     _assert_agrees_with_brute_force(_reached_links(lambda: check_ubc_hypotheses(sc)))
 
 
+@st.composite
+def cycle_unions(draw):
+    """The edges, in any order, of a disjoint union of 1-3 cycles of length
+    >= 3 on scattered vertex ids, and the number of cycles."""
+    lengths = draw(st.lists(st.integers(3, 7), min_size=1, max_size=3))
+    total = sum(lengths)
+    labels = draw(st.lists(st.integers(0, 99), unique=True, min_size=total, max_size=total))
+    edges = []
+    for n in lengths:
+        ring, labels = labels[:n], labels[n:]
+        edges += [tuple(sorted((ring[j], ring[j - 1]))) for j in range(n)]
+    return draw(st.permutations(edges)), len(lengths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycle_unions())
+def test_cycle_walk_agrees_with_the_component_count(union):
+    edges, cycles = union
+    vertices = {v for e in edges for v in e}
+    connected = homology._count_classes(vertices, edges) == 1
+    assert homology._is_sphere_facets(edges, 1) is connected is (cycles == 1)
+
+
 @pytest.mark.parametrize("surface", SURFACES[:4], ids=["tetrahedron", "octahedron", "torus", "rp2"])
 def test_two_dimensional_manifold_links_build_no_face_lattice(surface):
     apex_link = suspension(surface)._face_link((surface.n_vertices,))
