@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+from ._chains import betti_numbers  # invariants needs no link classifier
 from .facetfile import FacetFileError, load_complex, render_facet_text
-from .homology import betti_numbers, classify
 from .vectors import h_from_f, short_h_from_f
 
 USAGE_ERROR = 64
@@ -89,6 +89,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .homology import classify
+
     name, sc = load_complex(args.file)
     _print_json({"name": name, **classify(sc).to_json_dict()})
     return 0

@@ -15,10 +15,10 @@ import re
 from functools import lru_cache
 from itertools import combinations, product
 
+from ._chains import betti_numbers
 from .complexes import SimplicialComplex
 from .cyclic import _check_spec, cyclic_h, gale_facets
 from .facetfile import MAX_FACES
-from .homology import betti_numbers, is_cohen_macaulay, is_homology_manifold
 
 
 def boundary_simplex(d: int) -> SimplicialComplex:
@@ -51,6 +51,8 @@ _RP2_6_FACETS = (
 @lru_cache(maxsize=1)
 def torus_7() -> SimplicialComplex:
     """Minimal 7-vertex torus triangulation (14 facets, all 21 edges)."""
+    from .homology import is_homology_manifold  # loaded only to validate embedded data
+
     sc = SimplicialComplex(_TORUS_7_FACETS)
     flag, orientable, _ = is_homology_manifold(sc)
     b = betti_numbers(sc)
@@ -63,6 +65,8 @@ def torus_7() -> SimplicialComplex:
 def projective_plane_6() -> SimplicialComplex:
     """Minimal 6-vertex projective plane (10 facets); over the rationals all
     reduced Betti numbers vanish and the complex is Cohen-Macaulay."""
+    from .homology import is_cohen_macaulay, is_homology_manifold
+
     sc = SimplicialComplex(_RP2_6_FACETS)
     b = betti_numbers(sc)
     cm, _ = is_cohen_macaulay(sc)

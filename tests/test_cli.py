@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubckit import build_complex, cli, gale_facets, generate, save_complex, torus_7
+from ubckit import build_complex, cli, gale_facets, generate, homology, save_complex, torus_7
 from ubckit.cli import main
 from ubckit.corpus import _GENERATORS
 from ubckit.facetfile import MAX_FACES
@@ -171,7 +172,8 @@ import contextlib, io, json, sys
 from ubckit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
-watched = ("dataclasses", "decimal", "fractions", "ubckit.corpus", "ubckit.cyclic", "ubckit.verify")
+watched = ("dataclasses", "decimal", "fractions", "ubckit.corpus", "ubckit.cyclic",
+           "ubckit.homology", "ubckit.verify")
 print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
 
@@ -191,16 +193,39 @@ def _loaded_after(*argv) -> list[str]:
 
 def test_commands_load_only_what_they_run(tmp_path):
     # start-up budget: dataclasses, fractions (with decimal), the generators
-    # and the statements stay out of invariants and classify; verify ubc
-    # loads the statements and the cyclic h-vector, gen the generators
+    # and the statements stay out of invariants and classify; the link
+    # classifiers (homology) stay out of invariants and gen cyclic; verify
+    # ubc loads the statements and the cyclic h-vector, gen the generators,
+    # and gen torus-7 the classifiers that validate its embedded data
     path = tmp_path / "t7.json"
     save_complex(path, "torus-7", torus_7())
     sphere = tmp_path / "c48.json"
     save_complex(sphere, "cyclic-4-8", gale_facets(4, 8))
     assert _loaded_after("invariants", str(path)) == []
-    assert _loaded_after("classify", str(path)) == []
-    assert _loaded_after("verify", "ubc", str(sphere)) == ["ubckit.cyclic", "ubckit.verify"]
+    assert _loaded_after("classify", str(path)) == ["ubckit.homology"]
+    assert _loaded_after("verify", "ubc", str(sphere)) == [
+        "ubckit.cyclic", "ubckit.homology", "ubckit.verify"]
     assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus", "ubckit.cyclic"]
+    assert _loaded_after("gen", "torus-7") == ["ubckit.corpus", "ubckit.cyclic", "ubckit.homology"]
+
+
+def test_bench_tracer_finds_what_it_wraps():
+    # bench/tracer.py wraps betti_numbers in every module that binds it,
+    # cli included, and looks each listed name up on its module
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert cli.betti_numbers is homology.betti_numbers
+    missing = []
+    for module, names in tracer.WRAPPED.items():
+        for name in names:
+            owner = importlib.import_module(f"ubckit.{module}")
+            for attr in name.split("."):
+                owner = getattr(owner, attr, None)
+            if not callable(owner):
+                missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 def test_statement_choices_are_the_verifiers():
@@ -288,7 +313,7 @@ def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
     def broken(sc):
         raise RuntimeError("simulated internal fault")
 
-    monkeypatch.setattr(cli, "classify", broken)
+    monkeypatch.setattr(homology, "classify", broken)
     capsys.readouterr()
     assert main(["classify", str(path)]) == 70
     captured = capsys.readouterr()

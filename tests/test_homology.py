@@ -28,9 +28,10 @@ from ubckit import (
     is_semi_eulerian,
     matrix_rank,
     satisfies_betti_bound,
+    torus_7,
     verify_ubc,
 )
-from ubckit import homology
+from ubckit import _chains, cli, homology, verify
 
 
 def test_matrix_rank_basics():
@@ -98,19 +99,45 @@ def test_betti_invariant_under_relabeling(name):
 
 def test_betti_numbers_computed_once_per_complex(monkeypatch):
     calls = []
-    pivot_lows = homology._pivot_lows
+    pivot_lows = _chains._pivot_lows
 
     def counting_reducer(columns):
         calls.append(1)
         return pivot_lows(columns)
 
-    monkeypatch.setattr(homology, "_pivot_lows", counting_reducer)
+    monkeypatch.setattr(_chains, "_pivot_lows", counting_reducer)
     sc = cone(boundary_simplex(3))
     first = betti_numbers(sc)
     assert calls
     calls.clear()
     assert betti_numbers(sc) is first
     assert calls == []
+
+
+def test_homology_binds_the_chain_level_objects():
+    for name in ("betti_numbers", "matrix_rank", "boundary_matrix", "BettiVector"):
+        assert getattr(homology, name) is getattr(_chains, name)
+
+
+def test_betti_memo_is_filled_once_through_every_binding(monkeypatch):
+    # homology, verify and cli bind the one betti_numbers, which reads and
+    # fills the complex's memo slot: its operators are built once
+    built = []
+    boundary_columns = _chains._boundary_columns
+
+    def recording(sc, i, skip):
+        built.append(sc)
+        return boundary_columns(sc, i, skip)
+
+    monkeypatch.setattr(_chains, "_boundary_columns", recording)
+    sc = build_complex(torus_7().facets)
+    first = homology.betti_numbers(sc)
+    assert sc._betti is first
+    assert verify.betti_numbers(sc) is cli.betti_numbers(sc) is first
+    assert cli._invariants_dict("t", sc)["betti"] == [0, 0, 2, 1]
+    assert "beta_1 = 2 vs bound 0" in verify.check_lemma_hh(sc).hypotheses[1].witness
+    assert classify(sc).orientable is True
+    assert sum(x is sc for x in built) == 1  # one operator: boundary_2
 
 
 def _live_complexes() -> int:
