@@ -4,18 +4,27 @@ Subcommands: invariants, classify, verify, gen, sweep.  Exit codes: 0 for a
 passing verification (and for plain queries), 1 when hypotheses hold but a
 conclusion fails, 2 when hypotheses are not met, 64 for usage errors and
 malformed input files, 70 for an internal error.
+
+A well-formed command line (a command name and exactly its positionals, and
+for gen at most a final -o/--output OUT) is read without argparse, whose
+import and parser cost more than some commands compute; -h, usage errors
+and every other form go through argparse, with unchanged text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from ._chains import betti_numbers  # invariants needs no link classifier
 from .facetfile import FacetFileError, load_complex, render_facet_text
 from .vectors import h_from_f, short_h_from_f
+
+if TYPE_CHECKING:  # argparse loads only where build_parser runs
+    import argparse
 
 USAGE_ERROR = 64
 INTERNAL_ERROR = 70  # EX_SOFTWARE in sysexits.h; 64 is EX_USAGE there
@@ -27,13 +36,15 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ubckit", description=__doc__)
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    # --help shows the docstring up to its last paragraph, which is about parsing
+    parser = _Parser(prog="ubckit", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="print f, h, short-h, Betti and skeleton Euler data")
@@ -159,13 +170,52 @@ def _cmd_sweep(args) -> int:
     return _EXIT_FOR[worst] if counts[worst] else 0
 
 
+# each command's function and positionals, as build_parser declares them
+_COMMANDS = {
+    "invariants": (_cmd_invariants, "file"),
+    "classify": (_cmd_classify, "file"),
+    "verify": (_cmd_verify, "statement", "file"),
+    "gen": (_cmd_gen, "spec"),
+    "sweep": (_cmd_sweep, "statement", "directory"),
+}
+
+
+def _plain_args(argv):
+    """The namespace build_parser() gives a well-formed argv, or None.
+
+    Well-formed: a command name, then exactly its positionals (for gen, one
+    or more specs and at most a final -o/--output OUT), and apart from that
+    option no token that starts with "-".  argparse reads every other argv.
+    """
+    command, *rest = argv or [""]
+    if command not in _COMMANDS:
+        return None
+    func, *names = _COMMANDS[command]
+    if command == "gen":
+        output = None
+        if len(rest) > 2 and rest[-2] in ("-o", "--output"):
+            *rest, _, output = rest
+        if not rest or (output or "").startswith("-"):
+            return None
+        values = {"spec": rest, "output": output}
+    elif len(rest) != len(names) or (names[0] == "statement" and rest[0] not in STATEMENTS):
+        return None
+    else:
+        values = dict(zip(names, rest))
+    if any(token.startswith("-") for token in rest):
+        return None
+    return SimpleNamespace(command=command, **values, func=func)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        sys.stderr.write(f"ubckit: error: {e}\n")
-        return USAGE_ERROR
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except _UsageError as e:
+            sys.stderr.write(f"ubckit: error: {e}\n")
+            return USAGE_ERROR
     try:
         return args.func(args)
     except FacetFileError as e:

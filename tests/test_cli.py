@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -147,9 +148,28 @@ def test_sweep_continues_past_errors(tmp_path, capsys):
     assert code == 64
 
 
+_USAGE_ERRORS = {
+    (): "the following arguments are required: command",
+    ("no-such-command",): "argument command: invalid choice: 'no-such-command' "
+    "(choose from 'invariants', 'classify', 'verify', 'gen', 'sweep')",
+    ("verify", "nonsense", "x.json"): "argument statement: invalid choice: 'nonsense' "
+    "(choose from 'dehn-sommerville', 'lemma-hh', 'lower-bounds', 'sphere-ubc', 'ubc')",
+    ("invariants",): "the following arguments are required: file",
+    ("invariants", "a", "b"): "unrecognized arguments: b",
+    ("gen", "-o", "x"): "the following arguments are required: spec",
+}
+
+
 def test_usage_errors_exit_64(tmp_path, capsys):
-    assert main(["verify", "nonsense", "x.json"]) == 64
-    assert main(["no-such-command"]) == 64
+    # argparse alone writes usage errors and help, with these texts
+    for argv, message in _USAGE_ERRORS.items():
+        assert main(list(argv)) == 64
+        assert capsys.readouterr().err == f"ubckit: error: {message}\n"
+    for argv in (["--help"], ["gen", "--help"]):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ubckit")
     assert main(["verify", "ubc", str(tmp_path / "missing.json")]) == 64
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "facets": [[0, 0]]}')
@@ -172,8 +192,8 @@ import contextlib, io, json, sys
 from ubckit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
-watched = ("dataclasses", "decimal", "fractions", "ubckit.corpus", "ubckit.cyclic",
-           "ubckit.homology", "ubckit.verify")
+watched = ("argparse", "dataclasses", "decimal", "fractions", "gettext", "ubckit.corpus",
+           "ubckit.cyclic", "ubckit.homology", "ubckit.verify")
 print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
 
@@ -196,7 +216,9 @@ def test_commands_load_only_what_they_run(tmp_path):
     # and the statements stay out of invariants and classify; the link
     # classifiers (homology) stay out of invariants and gen cyclic; verify
     # ubc loads the statements and the cyclic h-vector, gen the generators,
-    # and gen torus-7 the classifiers that validate its embedded data
+    # and gen torus-7 the classifiers that validate its embedded data;
+    # argparse (with gettext) loads only for a command line that is not
+    # well-formed
     path = tmp_path / "t7.json"
     save_complex(path, "torus-7", torus_7())
     sphere = tmp_path / "c48.json"
@@ -207,15 +229,21 @@ def test_commands_load_only_what_they_run(tmp_path):
         "ubckit.cyclic", "ubckit.homology", "ubckit.verify"]
     assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus", "ubckit.cyclic"]
     assert _loaded_after("gen", "torus-7") == ["ubckit.corpus", "ubckit.cyclic", "ubckit.homology"]
+    assert "argparse" in _loaded_after("verify", "nonsense", "x.json")
+
+
+def _load_bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_tracer_finds_what_it_wraps():
     # bench/tracer.py wraps betti_numbers in every module that binds it,
     # cli included, and looks each listed name up on its module
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_bench_module("tracer")
     assert cli.betti_numbers is homology.betti_numbers
     missing = []
     for module, names in tracer.WRAPPED.items():
@@ -226,6 +254,58 @@ def test_bench_tracer_finds_what_it_wraps():
             if not callable(owner):
                 missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def _plain_command_lines():
+    workloads = _load_bench_module("workloads")
+    for workload in workloads.WORKLOADS:
+        for op in workloads.operations(workload):
+            yield [arg.replace("{in}", "in").replace("{out}", "out") for arg in op["args"]]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for line in readme.splitlines():
+        if line.startswith("ubckit "):
+            yield shlex.split(line, comments=True)[1:]
+
+
+def test_benchmark_and_readme_command_lines_skip_argparse():
+    argvs = list(_plain_command_lines())
+    assert len(argvs) > 20
+    for argv in argvs:
+        args = cli._plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+_COMMAND_NAMES = ["invariants", "classify", "verify", "gen", "sweep"]
+_ARGV_TOKENS = st.sampled_from(
+    _COMMAND_NAMES
+    + list(cli.STATEMENTS)
+    + ["cyclic", "torus-7", "cone(torus-7)", "boundary-simplex", "4", "8", "12"]
+    + ["c.json", "out.json", "some dir/", "x y.json"]
+    + ["-o", "--output", "--out", "--output=x", "-ox", "-h", "--", "-", "-4", ""]
+    + ["zzz", "inv", "verif", "Gen", "UBC"]
+)
+
+
+# 0-7 tokens, often led by a command name or ending in an -o/--output pair
+_ARGVS = st.one_of(
+    st.lists(_ARGV_TOKENS, max_size=7),
+    st.tuples(st.sampled_from(_COMMAND_NAMES), st.lists(_ARGV_TOKENS, max_size=6)).map(
+        lambda drawn: [drawn[0], *drawn[1]]),
+    st.tuples(
+        st.sampled_from(_COMMAND_NAMES), st.lists(_ARGV_TOKENS, max_size=4),
+        st.sampled_from(["-o", "--output"]), _ARGV_TOKENS,
+    ).map(lambda drawn: [drawn[0], *drawn[1], drawn[2], drawn[3]]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_ARGVS)
+def test_plain_parse_agrees_with_argparse(argv):
+    # every argv the plain parse accepts, argparse reads the same way
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_statement_choices_are_the_verifiers():
