@@ -36,43 +36,6 @@ class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise _UsageError(message)
-
-    # --help shows the docstring up to its last paragraph, which is about parsing
-    parser = _Parser(prog="ubckit", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="print f, h, short-h, Betti and skeleton Euler data")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("classify", help="print the classification report")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("verify", help="verify one statement on one complex")
-    p.add_argument("statement", choices=STATEMENTS)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("gen", help="generate a named complex")
-    p.add_argument("spec", nargs="+", help="e.g. cyclic 4 9 or 'suspension(torus-7)'")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("sweep", help="verify one statement on every .json file in a directory")
-    p.add_argument("statement", choices=STATEMENTS)
-    p.add_argument("directory")
-    p.set_defaults(func=_cmd_sweep)
-
-    return parser
-
-
 def _invariants_dict(name, sc) -> dict:
     f = sc.f_vector()
     out = {
@@ -170,14 +133,40 @@ def _cmd_sweep(args) -> int:
     return _EXIT_FOR[worst] if counts[worst] else 0
 
 
-# each command's function and positionals, as build_parser declares them
+# each command's function, help text and positionals, which build_parser
+# declares with the keywords in _POSITIONALS; gen also takes -o/--output
 _COMMANDS = {
-    "invariants": (_cmd_invariants, "file"),
-    "classify": (_cmd_classify, "file"),
-    "verify": (_cmd_verify, "statement", "file"),
-    "gen": (_cmd_gen, "spec"),
-    "sweep": (_cmd_sweep, "statement", "directory"),
+    "invariants": (_cmd_invariants, "print f, h, short-h, Betti and skeleton Euler data", "file"),
+    "classify": (_cmd_classify, "print the classification report", "file"),
+    "verify": (_cmd_verify, "verify one statement on one complex", "statement", "file"),
+    "gen": (_cmd_gen, "generate a named complex", "spec"),
+    "sweep": (_cmd_sweep, "verify one statement on every .json file in a directory",
+              "statement", "directory"),
 }
+_POSITIONALS = {
+    "statement": {"choices": STATEMENTS},
+    "spec": {"nargs": "+", "help": "e.g. cyclic 4 9 or 'suspension(torus-7)'"},
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    # --help shows the docstring up to its last paragraph, which is about parsing
+    parser = _Parser(prog="ubckit", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (func, help_text, *names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names:
+            p.add_argument(name, **_POSITIONALS.get(name, {}))
+        if command == "gen":
+            p.add_argument("-o", "--output", help="write to a file instead of stdout")
+        p.set_defaults(func=func)
+    return parser
 
 
 def _plain_args(argv):
@@ -190,7 +179,7 @@ def _plain_args(argv):
     command, *rest = argv or [""]
     if command not in _COMMANDS:
         return None
-    func, *names = _COMMANDS[command]
+    func, _, *names = _COMMANDS[command]
     if command == "gen":
         output = None
         if len(rest) > 2 and rest[-2] in ("-o", "--output"):

@@ -8,9 +8,9 @@ is representable; the void complex (no faces at all) is rejected.
 Instances are immutable.  The face lattice is enumerated on first use and
 cached; the cached value is a pure function of the facets, so the
 single-assignment write is idempotent and safe under concurrent first access.
-The link table (see :meth:`link`) and the Betti numbers memoized by
-:func:`ubckit.homology.betti_numbers` live exactly as long as the complex
-does; nothing is cached across complexes.
+Links are read off the facets into one table, keyed by facet tuples and
+shared with all the links (see :meth:`SimplicialComplex.link`); it and the
+Betti numbers memoized on its complexes live as long as any of them does.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("_facets", "_vertices", "_dim", "_pure", "_by_dim", "_face_set",
-                 "_links", "_root", "_face", "_betti")
+                 "_links", "_betti")
 
     def __init__(self, faces: Iterable[Iterable[int]]) -> None:
         self._absorb({normalize_face(f) for f in faces})
@@ -92,8 +92,7 @@ class SimplicialComplex:
         self._pure = len(sizes) == 1
         self._by_dim: dict[int, tuple[Face, ...]] | None = None
         self._face_set: frozenset[Face] | None = None
-        self._links: dict[tuple, SimplicialComplex] | None = None
-        self._root: SimplicialComplex | None = None  # on a link lk(F): the complex; _face is F
+        self._links: dict[tuple[Face, ...], SimplicialComplex] | None = None
         self._betti = None
 
     @property
@@ -168,11 +167,9 @@ class SimplicialComplex:
         """The link of a face: all faces disjoint from it whose union with
         it is again a face.  The link of () is the complex itself.
 
-        Links come from the complex's link table.  For F = G + (v,), v the
-        last vertex of F, lk(F) has the facets {H - v : v in H, H a facet of
-        lk(G)}, taken from lk(G) in the table; a sorted antichain stays one,
-        so nothing is normalized or absorbed.  Equal links of different faces
-        are one object.  On lk(F), link(G) is the table's lk(F + G) = lk_{lk F}(G).
+        lk(G) has the facets F - G over the facets F containing G, and is
+        their one entry in the link table (:meth:`_interned`): equal links
+        are one object, and on lk(F), link(G) is lk(F + G) = lk_{lk F}(G).
         """
         face = normalize_face(face)
         if face not in self._all_faces():
@@ -180,24 +177,24 @@ class SimplicialComplex:
         return self._face_link(face)
 
     def _face_link(self, face: Face) -> SimplicialComplex:
-        """:meth:`link` of a face already normalized and known to be a face
-        of this complex; nothing is checked."""
-        if self._root is not None:
-            return self._root._face_link(tuple(sorted(self._face + face)))
-        # keys: faces (tuples of ints) and, to intern links, facet tuples
+        """:meth:`link` of a normalized face of this complex, unchecked; the
+        F - G keep the facets' order (:func:`ubckit.homology._link_facets`)."""
+        facets = self._facets
+        for v in face:
+            facets = [f for f in facets if v in f]
+        vs = set(face)
+        return self._interned(tuple([tuple([v for v in f if v not in vs]) for f in facets]))
+
+    def _interned(self, facets: tuple[Face, ...]) -> SimplicialComplex:
+        """The link table's one complex with these facets, which must be the
+        canonical facets of a link; the table is shared with every link."""
         table = self._links
         if table is None:
-            table = self._links = {(): self}
-        lk = table.get(face)
+            table = self._links = {self._facets: self}
+        lk = table.get(facets)
         if lk is None:
-            v = face[-1]
-            parent = self._face_link(face[:-1])
-            facets = tuple([tuple([u for u in h if u != v]) for h in parent._facets if v in h])
-            lk = table.get(facets)
-            if lk is None:
-                lk = table[facets] = SimplicialComplex._trusted(facets)
-                lk._root, lk._face = self, face
-            table[face] = lk
+            lk = table[facets] = SimplicialComplex._trusted(facets)
+            lk._links = table
         return lk
 
     def skeleton(self, i: int) -> SimplicialComplex:

@@ -11,13 +11,13 @@ cannot decide.
 
 Every link sphere test is one lazy top-down walk, :func:`_link_records`, which
 the manifold, sphere, Cohen-Macaulay and UBC vertex-link checks and
-:func:`classify` all read.  A face is tested only after all its cofaces
-passed, and the cofaces of F are the faces of lk(F), so lk(F) is then a
-homology manifold.  Up to dimension 2 such a link is a sphere by counting
-alone, read off its facets (:func:`_is_sphere_facets`), and the facets of
-all links of one codimension come from one pass over the complex's
-(:func:`_link_facets`).  The Euler characteristic of every link of one
-level is a signed count of faces (:func:`_link_chi`).
+:func:`classify` all read.  It reads every link of a level off one pass over
+the facets (:func:`_link_facets`).  A face is tested only after all its
+cofaces passed, and the cofaces of F are the faces of lk(F), so lk(F) is
+then a homology manifold.  Up to dimension 2 such a link is a sphere by
+counting alone (:func:`_is_sphere_facets`); from dimension 3 on, its Betti
+numbers decide.  The Euler characteristic of every link of one level is a
+signed count of faces (:func:`_link_chi`).
 """
 
 from __future__ import annotations
@@ -160,47 +160,49 @@ def _manifold_chi(facets) -> int:
 
 
 def _link_records(sc: SimplicialComplex, lowest: int = 0):
-    """Yield (F, sphere) lazily, top-down over the faces of dimension
-    dim - 1 .. lowest (lowest >= 0).  The facets of dimension dim are left
-    out: their link is the (-1)-sphere.
+    """Yield (F, sphere, facets) lazily, top-down over the faces of
+    dimension dim - 1 .. lowest (lowest >= 0), facets being lk(F).facets
+    from one :func:`_link_facets` grouping per level.  Faces of dimension
+    dim are facets, whose link is the (-1)-sphere, and are left out.
 
     sphere is :func:`_is_sphere_manifold` of lk F when the complex is pure
     and every face F + v one dimension up had sphere True: by induction all
     cofaces of F passed, so lk F is a homology manifold.  Otherwise sphere
     is None, untested; the first face whose sphere is not True has a bool.
-    Codimensions 1 to 3 are walked and decided on one :func:`_link_facets`
-    grouping each, so lk F is built only from codimension 4 on, and a pure
-    complex of dimension <= 3 builds no face lattice either.
+    A link of dimension <= 2 is decided on its facets, a larger one on the
+    Betti numbers of its link-table entry, without the complex's lattice.
     """
     pure, d = sc.is_pure, sc.dim
     failed: set[Face] = set()  # faces with a coface one dimension up not a sphere
     for i in range(d - 1, lowest - 1, -1):
-        groups = _link_facets(sc, d - i) if pure and d - i <= 3 else None
-        for face in sc.faces(i) if groups is None else sorted(groups):
+        groups, m = _link_facets(sc, i), d - i - 1
+        for face in sorted(groups):  # faster than sorting the items
+            facets = groups[face]
             if not pure or face in failed:
                 sphere = None
-            elif groups is None:
-                sphere = _is_sphere_manifold(sc._face_link(face))
+            elif m <= 2:
+                sphere = _is_sphere_facets(facets, m)
             else:
-                sphere = _is_sphere_facets(groups[face], d - i - 1)
+                sphere = _is_sphere_manifold(sc._interned(tuple(facets)))
             if pure and not sphere:
-                failed.update(face[:m] + face[m + 1 :] for m in range(len(face)))
-            yield face, sphere
+                failed.update(face[:j] + face[j + 1 :] for j in range(len(face)))
+            yield face, sphere, facets
 
 
-def _link_facets(sc: SimplicialComplex, c: int) -> dict[Face, list[Face]]:
-    """{G: lk(G).facets} over the faces G of codimension c of a pure
-    complex, in one pass over its facets: a facet F gives G = F minus c
-    of its vertices and the link facet F - G.  combinations lists the
-    (|F| - c)-subsets of F as the complements of its c-subsets in reverse
-    order.  Two facets F, F' containing G first differ where F - G and
-    F' - G first differ, so the sorted facets give each list in the order
-    of lk(G).facets."""
+def _link_facets(sc: SimplicialComplex, i: int) -> dict[Face, list[Face]]:
+    """{G: lk(G).facets} over the i-faces G of any complex, in one pass over
+    its facets: a facet F with more than i vertices gives each of its
+    (i + 1)-subsets G the link facet F - G (() when F = G).  combinations
+    lists them as the complements of the (|F| - i - 1)-subsets in reverse.
+    The F - G are an antichain as the F are, and in their order: of two
+    sorted tuples neither containing the other, the one holding the least
+    element of their symmetric difference F ^ F' = (F - G) ^ (F' - G) is first."""
     groups: dict[Face, list[Face]] = {}
     for facet in sc.facets:
-        links = list(combinations(facet, c))
-        for face, rest in zip(combinations(facet, len(facet) - c), reversed(links)):
-            groups.setdefault(face, []).append(rest)
+        if len(facet) > i:
+            rests = list(combinations(facet, len(facet) - i - 1))
+            for face, rest in zip(combinations(facet, i + 1), reversed(rests)):
+                groups.setdefault(face, []).append(rest)
     return groups
 
 
@@ -228,9 +230,9 @@ def is_homology_manifold(sc: SimplicialComplex):
     """
     if not sc.is_pure:
         return None, None, Witness(None, "complex is not pure")
-    failure = next((face for face, sphere in _link_records(sc) if not sphere), None)
-    if failure is not None:
-        return False, None, Witness(failure, _not_a_sphere(sc._face_link(failure)))
+    for face, sphere, facets in _link_records(sc):
+        if not sphere:
+            return False, None, Witness(face, _not_a_sphere(sc._interned(tuple(facets))))
     return True, _is_orientable(sc) if sc.dim >= 0 else None, None
 
 
@@ -244,7 +246,7 @@ def is_homology_sphere(sc: SimplicialComplex) -> bool:
     the manifold walk passes, the complex meets the precondition of
     :func:`_is_sphere_manifold`: up to dimension 2 no Betti number is
     computed."""
-    if not sc.is_pure or not all(sphere for _, sphere in _link_records(sc)):
+    if not sc.is_pure or not all(sphere for _, sphere, _ in _link_records(sc)):
         return False
     return _is_sphere_manifold(sc)
 
@@ -331,10 +333,10 @@ def is_cohen_macaulay(sc: SimplicialComplex):
     homology manifold that is a sphere; only the other links are built.
     """
     manifold = True
-    for face, sphere in _link_records(sc):
+    for face, sphere, facets in _link_records(sc):
         if not sphere:
             manifold = False
-            wit = _reisner_failure(face, sc._face_link(face))
+            wit = _reisner_failure(face, sc._interned(tuple(facets)))
             if wit:
                 return False, wit
     if manifold and _is_sphere_manifold(sc):
@@ -422,10 +424,10 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     """
     pure = sc.is_pure
     hm_w = semi_w = eul_w = cm_w = None
-    for face, sphere in _link_records(sc):
+    for face, sphere, facets in _link_records(sc):
         if sphere:
             continue
-        link = sc._face_link(face)
+        link = sc._interned(tuple(facets))
         if pure:
             hm_w = hm_w or Witness(face, _not_a_sphere(link))
             semi_w = semi_w or _euler_failure(face, link.euler_characteristic(), link.dim)

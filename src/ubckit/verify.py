@@ -160,8 +160,8 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     only for a face with a vertex not yet failed, and the walk stops once
     every vertex has failed.  The chi of every vertex link comes from one
     count of the faces (:func:`~ubckit.homology._link_chi`), made unless
-    every vertex failed; a link complex is built only for a failing face,
-    a link of dimension >= 3, or a vertex link that needs Betti numbers.
+    every vertex failed; links are built from the walk's facets, for a
+    failing face or dimension >= 3, and vertex links only for Betti numbers.
     """
     if mode not in ("theorem", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -177,9 +177,10 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
             reason = "pseudomanifold is not orientable"
         items.append(Hypothesis("complex is an oriented pseudomanifold", ok, reason))
     failures: dict[int, str] = {}
-    for face, sphere in _link_records(sc, 1):
+    for face, sphere, facets in _link_records(sc, 1):
         if sphere is False and any(v not in failures for v in face):
-            reason = f"link is not a homology manifold: {_not_a_sphere(sc._face_link(face))}"
+            link = sc._interned(tuple(facets))
+            reason = f"link is not a homology manifold: {_not_a_sphere(link)}"
             for v in face:
                 failures.setdefault(v, reason)
             if len(failures) == sc.n_vertices:

@@ -180,6 +180,8 @@ def test_link_matches_scan_oracle(sc):
                 for g in link.faces(j):
                     _assert_same_complex(link.link(g), scan_link(link, g))
                     assert link._face_link(g) is link.link(g)
+                    # one table: the Betti memo of lk(F + G) serves both
+                    assert link._face_link(g) is sc._face_link(tuple(sorted(face + g)))
 
 
 def test_link_table_returns_one_object_per_face():

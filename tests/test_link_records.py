@@ -122,8 +122,8 @@ def test_link_records_start_below_the_facets(sc):
     # a facet's link is the (-1)-sphere, so the walk starts one level down:
     # a pure complex's facets are never yielded, and the walk ends at lowest
     if sc.is_pure:
-        assert not set(sc.facets) & {face for face, _ in homology._link_records(sc)}
+        assert not set(sc.facets) & {face for face, _, _ in homology._link_records(sc)}
     for lowest in range(0, sc.dim + 1):
-        assert [face for face, _ in homology._link_records(sc, lowest)] == [
+        assert [face for face, _, _ in homology._link_records(sc, lowest)] == [
             face for i in range(sc.dim - 1, lowest - 1, -1) for face in sc.faces(i)
         ]

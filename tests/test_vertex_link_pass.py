@@ -226,13 +226,13 @@ def test_classify_and_dehn_sommerville_build_no_link():
 
 def test_ubc_hypotheses_build_no_vertex_link_lattice():
     # every vertex link of a cyclic 5-sphere passes, and its chi is counted
-    # off the faces: the edge links take the Betti route, which builds their
-    # parent vertex links but not the vertex links' face lattices
+    # off the faces: the 3-dimensional edge links take the Betti route,
+    # straight from the grouped facets, so no vertex link is built
     sc = gale_facets(6, 12)
     assert all(h.status for h in check_ubc_hypotheses(sc))
-    vertex_links = [sc._links[(v,)] for v in sc.vertices if (v,) in sc._links]
-    assert vertex_links
-    assert [lk for lk in vertex_links if lk._by_dim is not None] == []
+    edge_links = {scan_link(sc, e).facets for e in sc.faces(1)}
+    assert set(sc._links) == {sc.facets} | edge_links
+    assert not {scan_link(sc, (v,)).facets for v in sc.vertices} & set(sc._links)
 
 
 def test_lower_bounds_build_only_the_vertex_links():
@@ -240,8 +240,16 @@ def test_lower_bounds_build_only_the_vertex_links():
     # <= 1, are decided from grouped facet lists
     sc = gale_facets(4, 30)
     assert check_lower_bounds(sc).overall == "pass"
-    faces = [key for key in sc._links if not key or isinstance(key[0], int)]
-    assert sorted(faces) == [()] + [(v,) for v in sc.vertices]
+    vertex_links = [scan_link(sc, (v,)).facets for v in sc.vertices]
+    assert sorted(sc._links) == sorted([sc.facets] + vertex_links)
+    assert all(key == lk.facets for key, lk in sc._links.items())
+
+
+def test_link_table_has_one_key_per_link():
+    sc = cross_polytope(5)
+    classify(sc)
+    assert sc._links
+    assert all(key == lk.facets for key, lk in sc._links.items())
 
 
 def _product(a, b):
@@ -296,11 +304,11 @@ def pure_complexes(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pure_complexes())
+@given(st.one_of(pure_complexes(), ANY_FACETS.map(build_complex)))
 def test_link_facets_are_the_links_in_order(sc):
-    for c in range(0, sc.dim + 2):
-        groups = homology._link_facets(sc, c)
-        assert sorted(groups) == list(sc.faces(sc.dim - c))
+    for i in range(-1, sc.dim + 1):
+        groups = homology._link_facets(sc, i)
+        assert sorted(groups) == list(sc.faces(i))
         for face, facets in groups.items():
             assert tuple(facets) == scan_link(sc, face).facets
 
