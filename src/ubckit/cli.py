@@ -99,11 +99,10 @@ def _internal(e: Exception) -> str:
 
 
 _SEVERITY = {"pass": 0, "hypotheses-not-met": 1, "fail": 2, "error": 3}
-_EXIT_FOR = {"pass": 0, "hypotheses-not-met": 2, "fail": 1, "error": USAGE_ERROR}
 
 
 def _cmd_sweep(args) -> int:
-    from .verify import VERIFIERS
+    from .verify import EXIT_CODES, VERIFIERS
 
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -118,7 +117,7 @@ def _cmd_sweep(args) -> int:
         try:
             _, sc = load_complex(path)
             outcome = verifier(sc).overall
-        except (FacetFileError, ValueError) as e:
+        except ValueError as e:  # FacetFileError included
             outcome = "error"
             sys.stdout.write(f"{path.name:<{width}}  error: {e}\n")
         except Exception as e:  # one faulty file must not end the sweep
@@ -130,7 +129,7 @@ def _cmd_sweep(args) -> int:
     summary = ", ".join(f"{counts[key]} {key}" for key in ("pass", "fail", "hypotheses-not-met", "error"))
     sys.stdout.write(f"# {args.statement}: {summary} ({len(files)} files)\n")
     worst = max(counts, key=lambda key: (_SEVERITY[key] if counts[key] else -1))
-    return _EXIT_FOR[worst] if counts[worst] else 0
+    return {**EXIT_CODES, "error": USAGE_ERROR}[worst] if counts[worst] else 0
 
 
 # each command's function, help text and positionals, which build_parser

@@ -5,16 +5,17 @@ Faces are sorted duplicate-free tuples of non-negative integer vertex ids,
 and the empty face () is a face of every complex.  The empty complex {()}
 is representable; the void complex (no faces at all) is rejected.
 
-Instances are immutable.  The face lattice is enumerated on first use and
-cached; the cached value is a pure function of the facets, so the
-single-assignment write is idempotent and safe under concurrent first access.
-Links are read off the facets into one table, keyed by facet tuples and
-shared with all the links (see :meth:`SimplicialComplex.link`); it and the
-Betti numbers memoized on its complexes live as long as any of them does.
+Instances are immutable; their only caches are the face lattice and the link
+table.  The lattice is enumerated on first use; it is a pure function of the
+facets, so the single-assignment write is idempotent and safe under
+concurrent first access.  Links are read off the facets into one table, keyed
+by facet tuples and shared with all the links (see :meth:`SimplicialComplex.link`);
+it and the Betti numbers memoized on its complexes live as long as any does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, combinations, groupby
 from typing import Iterable
 
@@ -43,8 +44,7 @@ class SimplicialComplex:
     Two complexes are equal exactly when their facet sets are equal.
     """
 
-    __slots__ = ("_facets", "_vertices", "_dim", "_pure", "_by_dim", "_face_set",
-                 "_links", "_betti")
+    __slots__ = ("_facets", "_vertices", "_dim", "_pure", "_by_dim", "_links", "_betti")
 
     def __init__(self, faces: Iterable[Iterable[int]]) -> None:
         self._absorb({normalize_face(f) for f in faces})
@@ -91,7 +91,6 @@ class SimplicialComplex:
         self._dim = max(sizes) - 1
         self._pure = len(sizes) == 1
         self._by_dim: dict[int, tuple[Face, ...]] | None = None
-        self._face_set: frozenset[Face] | None = None
         self._links: dict[tuple[Face, ...], SimplicialComplex] | None = None
         self._betti = None
 
@@ -136,15 +135,13 @@ class SimplicialComplex:
         """All faces of dimension i, sorted; empty outside -1..dim."""
         return self._lattice().get(i, ())
 
-    def _all_faces(self) -> frozenset[Face]:
-        face_set = self._face_set
-        if face_set is None:
-            face_set = frozenset(f for fs in self._lattice().values() for f in fs)
-            self._face_set = face_set
-        return face_set
-
     def has_face(self, face: Iterable[int]) -> bool:
-        return normalize_face(face) in self._all_faces()
+        """True for a face of this complex: a face on k vertices is a
+        (k-1)-face, so it is binary-searched in that sorted lattice level."""
+        face = normalize_face(face)
+        level = self.faces(len(face) - 1)
+        i = bisect_left(level, face)
+        return i < len(level) and level[i] == face
 
     def face_counts(self) -> tuple[int, ...]:
         """Raw counts (f_-1, f_0, ..., f_dim) with f_-1 = 1."""
@@ -167,21 +164,22 @@ class SimplicialComplex:
         """The link of a face: all faces disjoint from it whose union with
         it is again a face.  The link of () is the complex itself.
 
-        lk(G) has the facets F - G over the facets F containing G, and is
-        their one entry in the link table (:meth:`_interned`): equal links
-        are one object, and on lk(F), link(G) is lk(F + G) = lk_{lk F}(G).
+        G is a face exactly when some facet F contains it, so one filter of
+        the facets checks G and finds the F, with no face lattice built.
+        lk(G) has the facets F - G and is their one entry in the link table
+        (:meth:`_interned`): equal links are one object, and on lk(F),
+        link(G) is lk(F + G) = lk_{lk F}(G).
         """
-        face = normalize_face(face)
-        if face not in self._all_faces():
-            raise ValueError(f"{list(face)} is not a face of this complex")
-        return self._face_link(face)
+        return self._face_link(normalize_face(face))
 
     def _face_link(self, face: Face) -> SimplicialComplex:
-        """:meth:`link` of a normalized face of this complex, unchecked; the
-        F - G keep the facets' order (:func:`ubckit.homology._link_facets`)."""
+        """:meth:`link` of a normalized face; the F - G keep the facets'
+        order (:func:`ubckit.homology._link_facets`)."""
         facets = self._facets
         for v in face:
             facets = [f for f in facets if v in f]
+        if not facets:
+            raise ValueError(f"{list(face)} is not a face of this complex")
         vs = set(face)
         return self._interned(tuple([tuple([v for v in f if v not in vs]) for f in facets]))
 

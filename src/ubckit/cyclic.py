@@ -7,8 +7,6 @@ are the comparison benchmark for all upper-bound checks.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .complexes import SimplicialComplex
 from .vectors import binomial
 
@@ -71,14 +69,13 @@ def cyclic_h(d: int, n: int, i: int) -> int:
 def neighborliness(sc: SimplicialComplex) -> int:
     """Largest l such that every l-subset of the vertices is a face.
 
+    An l-subset of the n vertices is a face exactly when it is an
+    (l-1)-face, so every l-subset is one exactly when f_(l-1) = C(n, l);
+    the face counts are read from the lattice, no subset is tested.
     0 for the empty complex; cyclic d-polytope boundaries achieve floor(d/2)
     once they have at least d+2 vertices.
     """
-    verts = sc.vertices
-    best = 0
-    for l in range(1, len(verts) + 1):
-        if all(sc.has_face(subset) for subset in combinations(verts, l)):
-            best = l
-        else:
-            break
-    return best
+    n, l = sc.n_vertices, 0
+    while l < n and len(sc.faces(l)) == binomial(n, l + 1):
+        l += 1
+    return l

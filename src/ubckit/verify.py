@@ -54,6 +54,10 @@ class Inequality(NamedTuple):
         return out
 
 
+# the exit code of each overall outcome; sweep adds one for files it cannot check
+EXIT_CODES = {"pass": 0, "fail": 1, "hypotheses-not-met": 2}
+
+
 class VerificationReport(NamedTuple):
     statement: str
     hypotheses: tuple[Hypothesis, ...]
@@ -75,7 +79,7 @@ class VerificationReport(NamedTuple):
 
     @property
     def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1, "hypotheses-not-met": 2}[self.overall]
+        return EXIT_CODES[self.overall]
 
     def failed_hypotheses(self) -> tuple[Hypothesis, ...]:
         return tuple(h for h in self.hypotheses if h.status is not True)

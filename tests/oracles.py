@@ -7,11 +7,12 @@ plain rational Gaussian elimination.  The reference link and Gale
 enumeration are the straightforward versions of the library's fast paths:
 a scan over every facet rebuilt through the full constructor, and a test of
 Gale's evenness condition on every d-subset.  The maximal faces of a face
-list come from comparing every pair.  ``dense_to_columns`` turns a dense
-matrix into the sparse column input of ``matrix_rank``; ``rank_fraction``
-itself stays dense.  ``per_vertex_ubc_hypotheses`` is the UBC hypothesis
-check done one vertex link at a time, every face link rebuilt by
-``scan_link`` and its homology taken from ``brute_force_betti``.
+list come from comparing every pair, and neighborliness from testing every
+vertex subset.  ``dense_to_columns`` turns a dense matrix into the sparse
+column input of ``matrix_rank``; ``rank_fraction`` itself stays dense.
+``per_vertex_ubc_hypotheses`` is the UBC hypothesis check done one vertex
+link at a time, every face link rebuilt by ``scan_link`` and its homology
+taken from ``brute_force_betti``.
 ``classify_by_definition``, ``reisner_cohen_macaulay`` and
 ``vertex_link_buchsbaum`` are the classifiers one condition at a time, in
 the same way: every link rebuilt by ``scan_link``, its face counts from
@@ -92,6 +93,19 @@ def brute_force_faces(facets, i: int) -> tuple[tuple[int, ...], ...]:
     facet_sets = [frozenset(f) for f in facets]
     vertices = sorted({v for f in facet_sets for v in f})
     return tuple(c for c in combinations(vertices, i + 1) if any(set(c) <= f for f in facet_sets))
+
+
+def brute_force_neighborliness(facets) -> int:
+    """Largest l such that every l-subset of the vertex set lies in some
+    facet, by testing every subset of every size."""
+    facet_sets = [frozenset(f) for f in facets]
+    vertices = sorted({v for f in facet_sets for v in f})
+    best = 0
+    for size in range(1, len(vertices) + 1):
+        if not all(any(set(c) <= f for f in facet_sets) for c in combinations(vertices, size)):
+            break
+        best = size
+    return best
 
 
 def rank_fraction(mat) -> int:

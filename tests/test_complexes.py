@@ -1,5 +1,6 @@
 """Core complex construction, face enumeration, links and skeletons."""
 
+import re
 import threading
 
 import pytest
@@ -7,8 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus_data import CORPUS
-from oracles import brute_force_f_vector, brute_force_faces, brute_force_maximal_faces, scan_link
-from ubckit import SimplicialComplex, build_complex, normalize_face
+from oracles import (
+    brute_force_f_vector,
+    brute_force_faces,
+    brute_force_maximal_faces,
+    brute_force_neighborliness,
+    scan_link,
+)
+from ubckit import SimplicialComplex, build_complex, cross_polytope, neighborliness, normalize_face
 
 
 def test_build_triangle_graph():
@@ -157,6 +164,50 @@ def test_link_membership_characterization():
 ANY_COMPLEXES = st.lists(
     st.sets(st.integers(0, 7), max_size=5).map(sorted), min_size=1, max_size=8
 ).map(SimplicialComplex)
+
+
+def _not_a_face(face):
+    """The whole message link() raises for a non-face, as a pattern."""
+    return f"^{re.escape(str(list(face)))} is not a face of this complex$"
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_COMPLEXES, st.lists(st.sets(st.integers(0, 9), max_size=6), max_size=6))
+@example(SimplicialComplex([[]]), [set(), {0}])
+def test_has_face_matches_brute_force(sc, candidates):
+    # candidates reach vertex ids 8 and 9, which no complex here has
+    faces = {f for i in range(-1, sc.dim + 1) for f in brute_force_faces(sc.facets, i)}
+    for face in faces:
+        assert sc.has_face(face) and sc.has_face(face[::-1])
+    for cand in candidates:
+        face = tuple(sorted(cand))
+        assert sc.has_face(cand) == (face in faces)
+        if face not in faces:
+            with pytest.raises(ValueError, match=_not_a_face(face)):
+                sc.link(cand)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_COMPLEXES)
+@example(SimplicialComplex([[]]))
+def test_neighborliness_matches_brute_force(sc):
+    assert neighborliness(sc) == brute_force_neighborliness(sc.facets)
+
+
+def test_link_builds_no_face_lattice():
+    sc = cross_polytope(9)  # vertices 2i and 2i + 1 are antipodal
+    link = sc.link((0,))
+    assert sc._by_dim is None and link._by_dim is None
+    assert sc.link(()) is sc
+    assert sc._by_dim is None
+    for non_face in ((0, 1), (18,), (2, 0, 1)):
+        with pytest.raises(ValueError, match=_not_a_face(sorted(non_face))):
+            sc.link(non_face)
+        assert not sc.has_face(non_face)
+    for malformed, message in (((0, 0), "duplicate"), ((-1,), "non-negative")):
+        for query in (sc.link, sc.has_face):
+            with pytest.raises(ValueError, match=message):
+                query(malformed)
 
 
 def _assert_same_complex(fast, reference):
