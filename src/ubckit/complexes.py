@@ -76,12 +76,12 @@ class SimplicialComplex:
         self._set_facets(tuple(sorted(kept)))
 
     @classmethod
-    def _trusted(cls, facets: tuple[Face, ...]) -> SimplicialComplex:
+    def _trusted(cls, canonical: Iterable[Face]) -> SimplicialComplex:
         """Complex from facets already in canonical form: a non-empty,
-        sorted, duplicate-free antichain of normalized faces.  Skips
-        normalization and the absorption pass."""
+        sorted, duplicate-free antichain of normalized faces, in a list or a
+        tuple.  Skips normalization and the absorption pass."""
         sc = cls.__new__(cls)
-        sc._set_facets(facets)
+        sc._set_facets(tuple(canonical))
         return sc
 
     def _set_facets(self, facets: tuple[Face, ...]) -> None:
@@ -181,17 +181,22 @@ class SimplicialComplex:
         if not facets:
             raise ValueError(f"{list(face)} is not a face of this complex")
         vs = set(face)
-        return self._interned(tuple([tuple([v for v in f if v not in vs]) for f in facets]))
+        return self._interned([tuple([v for v in f if v not in vs]) for f in facets])
 
-    def _interned(self, facets: tuple[Face, ...]) -> SimplicialComplex:
-        """The link table's one complex with these facets, which must be the
-        canonical facets of a link; the table is shared with every link."""
+    def _interned(self, link_facets: Iterable[Face]) -> SimplicialComplex:
+        """The link table's one complex with these facets (a list or a
+        tuple), which must be the canonical facets of a link; the table is
+        shared with every link.  For its own facets a complex is its own
+        link, and no table is made."""
+        key = tuple(link_facets)
+        if key == self._facets:
+            return self
         table = self._links
         if table is None:
             table = self._links = {self._facets: self}
-        lk = table.get(facets)
+        lk = table.get(key)
         if lk is None:
-            lk = table[facets] = SimplicialComplex._trusted(facets)
+            lk = table[key] = SimplicialComplex._trusted(key)
             lk._links = table
         return lk
 

@@ -49,7 +49,7 @@ def gale_facets(d: int, n: int) -> SimplicialComplex:
     for first in range(d, 0, -1):  # the block containing vertex 0
         place(first + 1, d - first, tuple(range(first)))
     place(1, d, ())
-    return SimplicialComplex._trusted(tuple(facets))
+    return SimplicialComplex._trusted(facets)
 
 
 def cyclic_h(d: int, n: int, i: int) -> int:

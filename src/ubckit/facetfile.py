@@ -59,6 +59,8 @@ def parse_facet_text(text: str) -> tuple[str, SimplicialComplex]:
         raise FacetFileError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise FacetFileError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError as e:  # an integer with more digits than int() converts
+        raise FacetFileError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise FacetFileError("facet file must contain a single JSON object")
     if "name" not in doc or not isinstance(doc["name"], str):

@@ -14,9 +14,10 @@ the manifold, sphere, Cohen-Macaulay and UBC vertex-link checks and
 :func:`classify` all read.  It reads every link of a level off one pass over
 the facets (:func:`_link_facets`).  A face is tested only after all its
 cofaces passed, and the cofaces of F are the faces of lk(F), so lk(F) is
-then a homology manifold.  Up to dimension 2 such a link is a sphere by
-counting alone (:func:`_is_sphere_facets`); from dimension 3 on, its Betti
-numbers decide.  The Euler characteristic of every link of one level is a
+then a homology manifold.  One test, :func:`_is_sphere`, decides whether
+such a link, or a complex whose links all passed, is a sphere: up to
+dimension 2 by counting on its facets alone, from dimension 3 on by its
+Betti numbers.  The Euler characteristic of every link of one level is a
 signed count of faces (:func:`_link_chi`).
 """
 
@@ -93,44 +94,29 @@ def _euler_failure(face: Face, chi: int, m: int) -> Witness | None:
     return None
 
 
-def _is_sphere_manifold(link: SimplicialComplex) -> bool:
-    """Whether a homology manifold has the reduced homology of the sphere of
-    its dimension m.
+def _is_sphere(sc: SimplicialComplex, facets, m: int) -> bool:
+    """Whether the complex with these facets (pure, of dimension m; either
+    sc itself or one of its links) has the reduced homology of the m-sphere.
 
-    Precondition: the link is pure, and the link of each of its nonempty
-    faces has the reduced homology of a sphere of complementary dimension.
-    Then up to m = 2 no rank is needed:
+    Precondition: the link of each of its nonempty faces has the reduced
+    homology of a sphere of complementary dimension.  Then up to m = 2 the
+    facets decide, with no face lattice and no rank:
 
     - m = -1: the empty complex {()} is the (-1)-sphere.
     - m = 0: b_0 = f_0 - 1, so it is the 0-sphere exactly with 2 vertices.
-    - m = 1: every vertex link is a 0-sphere, so every vertex has degree 2
-      and each component is a cycle; it is the 1-sphere exactly when
-      connected.
+    - m = 1: every vertex has two neighbours, so each component is a cycle;
+      it is the 1-sphere when the walk round the first edge's cycle takes
+      as many steps as there are vertices, that is, when it is connected.
     - m = 2: every edge lies in exactly two triangles and every vertex link
       is a connected cycle, so a connected such complex is a strongly
       connected pseudomanifold, whose 2-cycles over Q are multiples of one
       cycle: b_2 <= 1.  Connected means b_0 = 0, so chi = 1 - b_1 + b_2, and
-      chi = 2 holds exactly when b_1 = 0 and b_2 = 1.
+      chi = 2 holds exactly when b_1 = 0 and b_2 = 1.  As 2 f_1 = 3 f_2,
+      chi = f_0 - f_2 / 2; connectivity needs only the edges from the first
+      vertex of each facet to its other vertices.
 
-    Up to m = 2 the test reads the facets (:func:`_is_sphere_facets`) and
-    builds no face lattice; from m = 3 on it computes the Betti numbers.
+    From m = 3 on the Betti numbers of sc._interned(facets) decide.
     """
-    m = link.dim
-    if m <= 2:
-        return _is_sphere_facets(link.facets, m)
-    return all(b == (1 if i == m else 0) for i, b in betti_numbers(link).items())
-
-
-def _is_sphere_facets(facets, m: int) -> bool:
-    """:func:`_is_sphere_manifold` for m <= 2, given the facets of the link
-    (pure, of dimension m): 2 points; connected; connected with chi = 2
-    (:func:`_manifold_chi`).
-
-    For m = 1 every vertex has exactly two neighbours, so each component is
-    a cycle: one walk from the first edge round its cycle comes back after
-    as many steps as the cycle has vertices, and the link is connected when
-    that is all of them.  For m = 2 connectivity needs only the edges from
-    the first vertex of each facet to its other vertices."""
     if m <= 0:
         return m == -1 or len(facets) == 2
     if m == 1:
@@ -145,18 +131,13 @@ def _is_sphere_facets(facets, m: int) -> bool:
             previous, v = v, b if a == previous else a
             steps += 1
         return steps == len(adjacent)
-    if _manifold_chi(facets) != 2:
-        return False
-    vertices = {v for f in facets for v in f}
-    return _count_classes(vertices, [(f[0], v) for f in facets for v in f[1:]]) == 1
-
-
-def _manifold_chi(facets) -> int:
-    """Euler characteristic of a 2-dimensional homology manifold with these
-    facets.  Every edge link is a 0-sphere, so each edge lies in exactly two
-    triangles, 2 f_1 = 3 f_2 and chi = f_0 - f_1 + f_2 = f_0 - f_2 / 2: no
-    face lattice."""
-    return len({v for f in facets for v in f}) - len(facets) // 2
+    if m == 2:
+        vertices = {v for f in facets for v in f}
+        if len(vertices) - len(facets) // 2 != 2:
+            return False
+        return _count_classes(vertices, [(f[0], v) for f in facets for v in f[1:]]) == 1
+    betti = betti_numbers(sc._interned(facets))
+    return all(b == (1 if i == m else 0) for i, b in betti.items())
 
 
 def _link_records(sc: SimplicialComplex, lowest: int = 0):
@@ -165,12 +146,12 @@ def _link_records(sc: SimplicialComplex, lowest: int = 0):
     from one :func:`_link_facets` grouping per level.  Faces of dimension
     dim are facets, whose link is the (-1)-sphere, and are left out.
 
-    sphere is :func:`_is_sphere_manifold` of lk F when the complex is pure
-    and every face F + v one dimension up had sphere True: by induction all
-    cofaces of F passed, so lk F is a homology manifold.  Otherwise sphere
-    is None, untested; the first face whose sphere is not True has a bool.
-    A link of dimension <= 2 is decided on its facets, a larger one on the
-    Betti numbers of its link-table entry, without the complex's lattice.
+    sphere is a bool: :func:`_is_sphere` of lk F when the complex is pure
+    and every face F + v one dimension up was a sphere, for then by
+    induction all cofaces of F passed and lk F is a homology manifold;
+    False, untested, otherwise.  So the first face that is not a sphere was
+    tested.  A link of dimension >= 3 is decided on the Betti numbers of
+    its link-table entry, without the complex's lattice.
     """
     pure, d = sc.is_pure, sc.dim
     failed: set[Face] = set()  # faces with a coface one dimension up not a sphere
@@ -178,12 +159,7 @@ def _link_records(sc: SimplicialComplex, lowest: int = 0):
         groups, m = _link_facets(sc, i), d - i - 1
         for face in sorted(groups):  # faster than sorting the items
             facets = groups[face]
-            if not pure or face in failed:
-                sphere = None
-            elif m <= 2:
-                sphere = _is_sphere_facets(facets, m)
-            else:
-                sphere = _is_sphere_manifold(sc._interned(tuple(facets)))
+            sphere = pure and face not in failed and _is_sphere(sc, facets, m)
             if pure and not sphere:
                 failed.update(face[:j] + face[j + 1 :] for j in range(len(face)))
             yield face, sphere, facets
@@ -232,7 +208,7 @@ def is_homology_manifold(sc: SimplicialComplex):
         return None, None, Witness(None, "complex is not pure")
     for face, sphere, facets in _link_records(sc):
         if not sphere:
-            return False, None, Witness(face, _not_a_sphere(sc._interned(tuple(facets))))
+            return False, None, Witness(face, _not_a_sphere(sc._interned(facets)))
     return True, _is_orientable(sc) if sc.dim >= 0 else None, None
 
 
@@ -244,11 +220,10 @@ def _is_orientable(sc: SimplicialComplex) -> bool:
 def is_homology_sphere(sc: SimplicialComplex) -> bool:
     """Homology manifold whose global reduced homology is a sphere's.  Once
     the manifold walk passes, the complex meets the precondition of
-    :func:`_is_sphere_manifold`: up to dimension 2 no Betti number is
-    computed."""
+    :func:`_is_sphere`: up to dimension 2 no Betti number is computed."""
     if not sc.is_pure or not all(sphere for _, sphere, _ in _link_records(sc)):
         return False
-    return _is_sphere_manifold(sc)
+    return _is_sphere(sc, sc.facets, sc.dim)
 
 
 def is_pseudomanifold(sc: SimplicialComplex):
@@ -336,10 +311,10 @@ def is_cohen_macaulay(sc: SimplicialComplex):
     for face, sphere, facets in _link_records(sc):
         if not sphere:
             manifold = False
-            wit = _reisner_failure(face, sc._interned(tuple(facets)))
+            wit = _reisner_failure(face, sc._interned(facets))
             if wit:
                 return False, wit
-    if manifold and _is_sphere_manifold(sc):
+    if manifold and _is_sphere(sc, sc.facets, sc.dim):
         return True, None
     wit = _reisner_failure((), sc)
     return (False, wit) if wit else (True, None)
@@ -427,7 +402,7 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     for face, sphere, facets in _link_records(sc):
         if sphere:
             continue
-        link = sc._interned(tuple(facets))
+        link = sc._interned(facets)
         if pure:
             hm_w = hm_w or Witness(face, _not_a_sphere(link))
             semi_w = semi_w or _euler_failure(face, link.euler_characteristic(), link.dim)
@@ -438,7 +413,7 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     if pure:
         eul_w = semi_w or _euler_failure((), sc.euler_characteristic(), sc.dim)
         hm, semi, eul = hm_w is None, semi_w is None, eul_w is None
-    sphere = bool(hm) and _is_sphere_manifold(sc)
+    sphere = bool(hm) and _is_sphere(sc, sc.facets, sc.dim)
     bb, bb_w = is_buchsbaum(sc) if cm_w or not pure else (True, None)
     if not (cm_w or sphere):
         cm_w = _reisner_failure((), sc)

@@ -29,14 +29,20 @@ class _ExactVector:
 
     Subclasses fix ``_first_index``; ``vec[i]`` returns the entry with
     mathematical index i (so an FVector supports ``f[-1]``), which
-    deliberately differs from Python's negative indexing.
+    deliberately differs from Python's negative indexing.  Entries are
+    integers; an integral Fraction is stored as an int, and a float, bool,
+    string or non-integral rational is rejected rather than truncated.
     """
 
     __slots__ = ("entries",)
     _first_index = 0
 
     def __init__(self, entries) -> None:
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(entries)
+        for e in entries:
+            if isinstance(e, bool) or getattr(e, "denominator", None) != 1:
+                raise ValueError(f"{type(self).__name__} entries must be integers, got {e!r}")
+        entries = tuple(map(int, entries))
         self._check(entries)
         self.entries = entries
 

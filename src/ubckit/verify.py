@@ -107,41 +107,26 @@ def _odd_dimension_k(sc: SimplicialComplex) -> int:
     return (dim - 1) // 2
 
 
-def _admissible_link_theorem(sc: SimplicialComplex, v: int, chi: int, k: int):
-    """Theorem-route admissibility of the vertex link lk(v), already known
-    to be a homology manifold with Euler characteristic chi: chi = 2
-    (homology-sphere links land here), or orientable with the middle Betti
-    bound.  The link is built, and its Betti numbers computed, only when
-    chi != 2."""
-    if chi == 2:
-        return True, None
+def _inadmissible_link(sc: SimplicialComplex, v: int, chi: int, k: int, mode: str):
+    """Why the vertex link lk(v), already known to be a homology manifold
+    with Euler characteristic chi, is not admissible, or None when it is.
+    theorem: chi = 2 (homology-sphere links land here), or orientable with
+    the middle Betti bound.  corollary: (-1)^k (chi - 2) <= 0, or vanishing
+    middle homology.  The link is built, and its Betti numbers computed,
+    only when the test on chi fails."""
+    sign = (-1) ** k * (chi - 2)
+    if (chi == 2) if mode == "theorem" else (sign <= 0):
+        return None
     link = sc._face_link((v,))
     b = betti_numbers(link)
-    bound = _middle_betti_bound(b, k)
+    if mode == "corollary":
+        return f"beta_{k}(link) = {b[k]} != 0 and (-1)^{k}*(chi-2) = {sign} > 0" if b[k] else None
     if not _is_orientable(link):
-        return False, f"chi(link) = {chi} != 2 and the link is not orientable"
-    if b[k] <= bound:
-        return True, None
-    return False, (
-        f"chi(link) = {chi} != 2 and the middle Betti bound fails: "
-        f"beta_{k} = {b[k]} > {bound}"
-    )
-
-
-def _admissible_link_corollary(sc: SimplicialComplex, v: int, chi: int, k: int):
-    """Corollary-route admissibility of the vertex link lk(v), already
-    known to be a homology manifold with Euler characteristic chi:
-    (-1)^k (chi - 2) <= 0, or vanishing middle homology.  The link is built,
-    and its Betti numbers computed, only when the first test fails."""
-    if (-1) ** k * (chi - 2) <= 0:
-        return True, None
-    middle = betti_numbers(sc._face_link((v,)))[k]
-    if middle == 0:
-        return True, None
-    return False, (
-        f"beta_{k}(link) = {middle} != 0 and (-1)^{k}*(chi-2) = "
-        f"{(-1) ** k * (chi - 2)} > 0"
-    )
+        return f"chi(link) = {chi} != 2 and the link is not orientable"
+    bound = _middle_betti_bound(b, k)
+    if b[k] > bound:
+        return f"chi(link) = {chi} != 2 and the middle Betti bound fails: beta_{k} = {b[k]} > {bound}"
+    return None
 
 
 def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[Hypothesis, ...]:
@@ -161,10 +146,12 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     cofaces of the first face G containing v whose link is not a sphere
     all contain v and passed, so the walk tests G, and G and its reason are
     the ones is_homology_manifold(lk v) reports.  The reason is computed
-    only for a face with a vertex not yet failed, and the walk stops once
-    every vertex has failed.  The chi of every vertex link comes from one
+    only for a face with a vertex not yet failed (an untested face has only
+    failed vertices), and the walk stops once every vertex has failed.
+    Each other vertex link is judged on its chi by
+    :func:`_inadmissible_link`; the chi of every vertex link comes from one
     count of the faces (:func:`~ubckit.homology._link_chi`), made unless
-    every vertex failed; links are built from the walk's facets, for a
+    every vertex failed.  Links are built from the walk's facets, for a
     failing face or dimension >= 3, and vertex links only for Betti numbers.
     """
     if mode not in ("theorem", "corollary"):
@@ -182,21 +169,17 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
         items.append(Hypothesis("complex is an oriented pseudomanifold", ok, reason))
     failures: dict[int, str] = {}
     for face, sphere, facets in _link_records(sc, 1):
-        if sphere is False and any(v not in failures for v in face):
-            link = sc._interned(tuple(facets))
+        if not sphere and any(v not in failures for v in face):
+            link = sc._interned(facets)
             reason = f"link is not a homology manifold: {_not_a_sphere(link)}"
             for v in face:
                 failures.setdefault(v, reason)
             if len(failures) == sc.n_vertices:
                 break
-    check = _admissible_link_theorem if mode == "theorem" else _admissible_link_corollary
     chi = _link_chi(sc, 0) if len(failures) < sc.n_vertices else None
     for v in sc.vertices:
-        if v in failures:
-            ok, reason = False, failures[v]
-        else:
-            ok, reason = check(sc, v, chi[(v,)], k)
-        items.append(Hypothesis(f"link of vertex {v} is admissible", ok, reason))
+        reason = failures.get(v) or _inadmissible_link(sc, v, chi[(v,)], k, mode)
+        items.append(Hypothesis(f"link of vertex {v} is admissible", reason is None, reason))
     return tuple(items)
 
 
@@ -251,17 +234,14 @@ def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
     return VerificationReport("ubc", hypotheses, tuple(conclusions))
 
 
-def check_lemma_hh(sc: SimplicialComplex, k: int | None = None) -> VerificationReport:
-    """h-vector upper bound for even-dimensional homology manifolds:
+def check_lemma_hh(sc: SimplicialComplex) -> VerificationReport:
+    """h-vector upper bound for 2k-dimensional homology manifolds:
     h_i <= h_i(cyclic (2k+1)-polytope on the same vertices) for i = 0..k+1,
     under chi = 2 or orientability plus the middle Betti bound."""
     dim = sc.dim
-    if k is None:
-        if dim < 2 or dim % 2:
-            raise ValueError(f"need an even dimension 2k with k >= 1, got dimension {dim}")
-        k = dim // 2
-    if dim != 2 * k or k < 1:
-        raise ValueError(f"complex has dimension {dim}, expected {2 * k} with k >= 1")
+    if dim < 2 or dim % 2:
+        raise ValueError(f"need an even dimension 2k with k >= 1, got dimension {dim}")
+    k = dim // 2
     r = sc.n_vertices
     d = 2 * k + 1
     if r < d + 1:

@@ -1,5 +1,7 @@
 """The shared facet-list file format."""
 
+import sys
+
 import pytest
 
 from ubckit import (
@@ -82,6 +84,23 @@ def test_non_array_facet():
 def test_missing_file(tmp_path):
     with pytest.raises(FacetFileError, match="cannot read"):
         load_complex(tmp_path / "does-not-exist.json")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="integer string conversion is unlimited"
+)
+def test_oversized_integer_names_the_file(tmp_path, capsys):
+    from ubckit.cli import main
+
+    digits = sys.get_int_max_str_digits() + 1
+    path = tmp_path / "huge.json"
+    path.write_text('{"name": "x", "facets": [[' + "7" * digits + "]]}")
+    with pytest.raises(FacetFileError, match=f"^{path}: invalid JSON: Exceeds the limit"):
+        load_complex(path)
+    assert main(["invariants", str(path)]) == 64
+    assert capsys.readouterr().err.startswith(f"ubckit: {path}: invalid JSON: ")
+    assert main(["sweep", "ubc", str(tmp_path)]) == 64
+    assert capsys.readouterr().out.startswith(f"huge.json  error: {path}: invalid JSON: ")
 
 
 def _document(entries):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from corpus_data import CORPUS
 from ubckit import (
+    BettiVector,
     FVector,
     HVector,
     ShortHVector,
@@ -42,6 +43,17 @@ def test_vector_validation():
         HVector((0, 1))
     with pytest.raises(ValueError):
         ShortHVector((-2, 0))
+
+
+@pytest.mark.parametrize("cls", [FVector, HVector, ShortHVector, BettiVector])
+def test_vector_entries_are_exact_integers(cls):
+    # an integral Fraction (what h_from_short_h returns) is kept as an int
+    vec = cls([1, Fraction(4, 1), 6])
+    assert vec.entries == (1, 4, 6) and type(vec.entries[1]) is int
+    for bad in (4.2, 4.0, True, "4", Fraction(9, 2)):
+        with pytest.raises(ValueError) as err:
+            cls([1, bad, 6])
+        assert str(err.value) == f"{cls.__name__} entries must be integers, got {bad!r}"
 
 
 def test_mathematical_indexing():

@@ -112,7 +112,7 @@ def test_lemma_applies_to_links_of_admissible_complexes(name):
     if not report.hypotheses_met:
         return
     for v in sc.vertices:
-        link_report = check_lemma_hh(sc.link((v,)), 1)
+        link_report = check_lemma_hh(sc.link((v,)))
         assert link_report.overall == "pass"
 
 
@@ -138,8 +138,8 @@ def test_lemma_torus_vacuous_failure():
 def test_lemma_dimension_guards():
     with pytest.raises(ValueError):
         check_lemma_hh(CORPUS["boundary-simplex-4"])  # odd dimension
-    with pytest.raises(ValueError):
-        check_lemma_hh(CORPUS["octahedron"], 2)
+    with pytest.raises(ValueError, match="need an even dimension 2k with k >= 1"):
+        check_lemma_hh(boundary_simplex(1))  # dimension 0: k = 0
 
 
 def test_sphere_ubc():
