@@ -13,6 +13,8 @@ and every other form go through argparse, with unchanged text.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import sys
 from pathlib import Path
@@ -218,6 +220,16 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
+    """Run main() and exit with its code (``python -m ubckit`` and the
+    ``ubckit`` script).
+
+    At shutdown the interpreter garbage-collects the whole heap, which took
+    longer than some commands compute.  An atexit handler freezes the heap
+    first, so those collections find nothing to scan; a caller that catches
+    SystemExit keeps an unfrozen heap.  os._exit would skip the stdio flush
+    and the other atexit handlers, so the process still exits normally.
+    """
+    atexit.register(gc.freeze)  # handlers run last-in first-out: this one last
     raise SystemExit(main())
 
 

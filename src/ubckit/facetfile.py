@@ -51,6 +51,20 @@ def _at_line(text: str, index: int) -> str:
     return f" (line {line})" if line is not None else ""
 
 
+def _facet_error(facet, idx: int, text: str) -> str:
+    """The message for the first rule that facet #idx breaks: an array of
+    integers (bools excluded), then normalize_face's rules."""
+    if not isinstance(facet, list):
+        return f"facet #{idx} is not an array{_at_line(text, idx)}"
+    for v in facet:
+        if not isinstance(v, int) or isinstance(v, bool):
+            return f"facet #{idx} holds a non-integer vertex {v!r}{_at_line(text, idx)}"
+    try:
+        normalize_face(facet)
+    except ValueError as e:
+        return f"facet #{idx}: {e}{_at_line(text, idx)}"
+
+
 def parse_facet_text(text: str) -> tuple[str, SimplicialComplex]:
     """Parse a facet document into (name, complex)."""
     try:
@@ -73,18 +87,11 @@ def parse_facet_text(text: str) -> tuple[str, SimplicialComplex]:
             '"facets" is empty: the void complex is not representable (use [[]] for the empty complex)'
         )
     faces = []
-    for idx, facet in enumerate(facets):
-        if not isinstance(facet, list):
-            raise FacetFileError(f"facet #{idx} is not an array{_at_line(text, idx)}")
-        for v in facet:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise FacetFileError(
-                    f"facet #{idx} holds a non-integer vertex {v!r}{_at_line(text, idx)}"
-                )
-        try:
-            faces.append(normalize_face(facet))
-        except ValueError as e:
-            raise FacetFileError(f"facet #{idx}: {e}{_at_line(text, idx)}") from None
+    for facet in facets:  # the rules of _facet_error, checked at C level
+        face = tuple(sorted(facet)) if type(facet) is list and set(map(type, facet)) <= {int} else None
+        if face is None or face and face[0] < 0 or len(set(face)) != len(face):
+            raise FacetFileError(_facet_error(facet, len(faces), text))
+        faces.append(face)
     bound = sum(2 ** len(face) for face in faces)
     if bound > MAX_FACES:
         raise FacetFileError(

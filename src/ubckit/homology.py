@@ -289,6 +289,8 @@ def satisfies_betti_bound(sc: SimplicialComplex, k: int) -> bool:
 
 
 def _reisner_failure(face: Face, link: SimplicialComplex) -> Witness | None:
+    if set(link.facets[0]).intersection(*link.facets[1:]):
+        return None  # facets sharing a vertex: a cone, which is acyclic
     b = betti_numbers(link)
     for i in range(-1, link.dim):
         if b[i] != 0:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -187,6 +188,105 @@ def test_gen_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert f"cannot write {tmp_path}: " in capsys.readouterr().err
 
 
+_SRC = str(Path(cli.__file__).resolve().parents[1])  # the ubckit under test, for children
+# python -m ubckit ARGV, after ubckit.MODULE.NAME is set to the value of EXPR
+# (which may read the module as m); runpy runs ubckit/__main__.py as -m does
+_PATCHED_ENTRY = """
+import importlib, runpy, sys
+module, name, expr = sys.argv.pop(1), sys.argv.pop(1), sys.argv.pop(1)
+m = importlib.import_module(module)
+setattr(m, name, eval(expr, {"m": m}))
+runpy.run_module("ubckit", run_name="__main__", alter_sys=True)
+"""
+# (module, name, expr): faults that no input reaches
+_FAULTS = {
+    "conclusion-fails": ("ubckit.verify", "VERIFIERS", """dict(m.VERIFIERS, ubc=lambda sc: m.VerificationReport(
+        "ubc", (m.Hypothesis("x", True, None),), (m.Inequality("f_1 <= f_1(C)", 5, 4, False),)))"""),
+    "internal-fault": ("ubckit.homology", "classify", "lambda sc: 1 / 0"),
+}
+
+
+def _entry_point(argv, fault=None):
+    """stdout, stderr and exit code of python -m ubckit in a child process."""
+    cmd = [sys.executable, "-m", "ubckit"] if fault is None else [
+        sys.executable, "-c", _PATCHED_ENTRY, *_FAULTS[fault]]
+    run = subprocess.run([*cmd, *argv], capture_output=True, env={**os.environ, "PYTHONPATH": _SRC},
+                         timeout=60)
+    return run.stdout, run.stderr, run.returncode
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue().encode(), err.getvalue().encode(), code
+
+
+def test_entry_point_matches_main_byte_for_byte(tmp_path, monkeypatch):
+    # python -m ubckit runs main_entry, which adds only the exit-time freeze
+    sphere = _gen(tmp_path, "cyclic 4 8", "c48.json")
+    st = _gen(tmp_path, "suspension(torus-7)", "st.json")
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    _gen(sweep, "boundary-simplex 4", "a.json")
+    (sweep / "b.json").write_text('{"name": "b", "facets": [[0, 1], [2, 2]]}')
+    cases = [
+        (["invariants", str(sphere)], None, 0),
+        (["classify", str(st)], None, 0),
+        (["verify", "ubc", str(sphere)], None, 0),
+        (["gen", "cyclic", "4", "8"], None, 0),
+        (["verify", "ubc", str(sphere)], "conclusion-fails", 1),
+        (["verify", "ubc", str(st)], None, 2),
+        (["verify", "nonsense", str(sphere)], None, 64),
+        (["invariants", str(sweep / "b.json")], None, 64),
+        (["sweep", "ubc", str(sweep)], None, 64),
+        (["classify", str(st)], "internal-fault", 70),
+    ]
+    for argv, fault, code in cases:
+        with monkeypatch.context() as patch:
+            if fault is not None:
+                module, name, expr = _FAULTS[fault]
+                m = importlib.import_module(module)
+                patch.setattr(m, name, eval(expr, {"m": m}))
+            expected = _in_process(argv)
+        assert expected[2] == code, (argv, fault)
+        assert _entry_point(argv, fault) == expected, (argv, fault)
+    child, parent = tmp_path / "child.json", tmp_path / "parent.json"
+    assert _entry_point(["gen", "cyclic", "4", "9", "-o", str(child)]) == (b"", b"", 0)
+    assert _in_process(["gen", "cyclic", "4", "9", "-o", str(parent)]) == (b"", b"", 0)
+    assert child.read_bytes() == parent.read_bytes()
+
+
+_FREEZE_AT_EXIT = """
+import atexit, gc, sys
+# atexit runs handlers last-in first-out, so this one runs after main_entry's
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+from ubckit.cli import main_entry
+try:
+    main_entry()
+except SystemExit as e:
+    print("exit", e.code, "frozen:", gc.get_freeze_count(), "gc enabled:", gc.isenabled())
+"""
+
+
+def test_entry_point_freezes_the_heap_only_at_exit():
+    run = subprocess.run([sys.executable, "-c", _FREEZE_AT_EXIT, "gen", "boundary-simplex", "2"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC},
+                         timeout=60)
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[-1] == "exit 0 frozen: 0 gc enabled: True"
+    assert run.stderr == "frozen at exit: True\n"
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    # tests call main, never main_entry: a frozen heap would hide objects
+    # from gc.get_objects(), which the link-lifetime test counts
+    path = _gen(tmp_path, "cyclic 4 8", "c48.json")
+    for argv in (["classify", str(path)], ["verify", "nonsense", str(path)]):
+        _in_process(argv)
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
 _LOADED_AFTER = """
 import contextlib, io, json, sys
 from ubckit.cli import main
@@ -199,12 +299,11 @@ print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 
 
 def _loaded_after(*argv) -> list[str]:
-    src = str(Path(cli.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER, *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": _SRC},
         timeout=60,
     )
     assert run.returncode == 0, run.stderr

@@ -1,8 +1,11 @@
 """The shared facet-list file format."""
 
+import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ubckit import (
     FacetFileError,
@@ -13,7 +16,8 @@ from ubckit import (
     render_facet_text,
     save_complex,
 )
-from ubckit.facetfile import MAX_FACES
+from ubckit.complexes import normalize_face
+from ubckit.facetfile import MAX_FACES, _at_line
 
 
 def test_round_trip(tmp_path):
@@ -142,3 +146,53 @@ def test_parsed_facets_are_normalized_deduplicated_and_absorbed():
     _, sc = parse_facet_text(text)
     assert sc.facets == ((0, 1, 2), (3, 4), (5,))
     assert sc == SimplicialComplex([[2, 0, 1], [1, 0], [0, 1, 2], [4, 3], [], [3, 4], [5]])
+
+
+def _per_vertex_rules(text):
+    """The facets or the error text of the per-vertex loop that checked
+    each vertex with isinstance and then called normalize_face."""
+    faces = []
+    for idx, facet in enumerate(json.loads(text)["facets"]):
+        if not isinstance(facet, list):
+            return f"facet #{idx} is not an array{_at_line(text, idx)}"
+        for v in facet:
+            if not isinstance(v, int) or isinstance(v, bool):
+                return f"facet #{idx} holds a non-integer vertex {v!r}{_at_line(text, idx)}"
+        try:
+            faces.append(normalize_face(facet))
+        except ValueError as e:
+            return f"facet #{idx}: {e}{_at_line(text, idx)}"
+    return SimplicialComplex(faces)
+
+
+_VERTICES = st.one_of(
+    st.integers(-2, 6),
+    st.booleans(),
+    st.floats(-2, 6, allow_nan=False),
+    st.sampled_from(["0", "a", None, {}]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_ENTRIES = st.one_of(
+    st.lists(st.integers(0, 6), max_size=4),  # mostly well-formed facets
+    st.lists(st.integers(-2, 6), max_size=4),
+    st.lists(_VERTICES, max_size=4),
+    st.sampled_from([0, True, 1.5, "01", None, {"0": 1}]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRIES, min_size=1, max_size=6), st.booleans())
+@example([[0, 1], [0, 0, -1]], True)
+@example([[0, 1], [2, -1], [1, 1]], False)
+@example([[]], False)
+@example([[2, 1], [False, 3]], True)
+def test_facet_checks_match_the_per_vertex_rules(entries, spread):
+    # one entry per line when spread, so the line in the message varies
+    text = _document(map(json.dumps, entries)) if spread else json.dumps({"name": "x", "facets": entries})
+    expected = _per_vertex_rules(text)
+    if isinstance(expected, str):
+        with pytest.raises(FacetFileError) as err:
+            parse_facet_text(text)
+        assert str(err.value) == expected
+    else:
+        assert parse_facet_text(text) == ("x", expected)

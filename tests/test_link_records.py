@@ -19,6 +19,7 @@ from ubckit import (
     cone,
     cross_polytope,
     disjoint_union,
+    gale_facets,
     is_buchsbaum,
     is_cohen_macaulay,
     is_eulerian,
@@ -66,9 +67,36 @@ def complexes(draw):
     for _ in range(draw(st.integers(0, 2))):
         if len(facets) > 1:
             facets.pop(draw(st.integers(0, len(facets) - 1)))
+    return _relabelled(draw, facets)
+
+
+def _relabelled(draw, facets):
     order = draw(st.permutations(sorted({v for f in facets for v in f})))
     mapping = dict(zip(sorted(order), order))
     return build_complex([[mapping[v] for v in f] for f in facets])
+
+
+# a cyclic 3-sphere minus a facet: a ball, whose interior faces have sphere
+# links and whose boundary faces have cone links
+BALL_3 = build_complex(gale_facets(4, 7).facets[1:])
+
+
+@st.composite
+def cone_links(draw):
+    """Complexes most of whose links are cones: a base (as in complexes(),
+    or BALL_3) coned or joined with an edge, perhaps with a pendant edge at
+    one vertex, which makes it impure; the vertex ids permuted.  Only bases
+    under 7 vertices are joined: the oracles' Betti numbers grow fast."""
+    sc = draw(st.sampled_from(BASES + [BALL_3]))
+    step = draw(st.sampled_from(["cone", "join-edge", "as-is"]))
+    if step == "cone":
+        sc = cone(sc)
+    elif step == "join-edge" and sc.n_vertices < 7:
+        sc = join(sc, build_complex([[0, 1]]))
+    facets = list(sc.facets)
+    if draw(st.booleans()):
+        facets.append((draw(st.sampled_from(sc.vertices)), sc.n_vertices))
+    return _relabelled(draw, facets)
 
 
 RANDOM = st.integers(1, 4).flatmap(
@@ -93,6 +121,31 @@ def test_classifiers_match_the_definitions(sc):
     assert classify(sc) == classify_by_definition(sc)
     assert is_cohen_macaulay(sc) == reisner_cohen_macaulay(sc)
     assert is_buchsbaum(sc) == vertex_link_buchsbaum(sc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone_links())
+@example(build_complex([range(6)]))
+@example(BALL_3)
+@example(join(cross_polytope(3), build_complex([[0, 1]])))
+@example(build_complex(cone(cross_polytope(3)).facets + ((0, 7),)))
+def test_cone_links_match_the_definitions(sc):
+    # a link whose facets share a vertex passes Reisner with no Betti vector
+    assert is_cohen_macaulay(sc) == reisner_cohen_macaulay(sc)
+    assert classify(sc) == classify_by_definition(sc)
+
+
+def test_classify_on_a_solid_simplex_computes_two_betti_vectors(monkeypatch):
+    # every link is a cone: only the first link (the homology-manifold
+    # witness) and the complex itself (the homology-sphere witness) get one
+    real, computed = homology.betti_numbers, []
+    monkeypatch.setattr(homology, "betti_numbers", lambda sc: computed.append(sc) or real(sc))
+    report = classify(build_complex([range(9)]))
+    assert report.cohen_macaulay and report.buchsbaum and not report.homology_manifold
+    assert [sc.facets for sc in computed] == [((8,),), (tuple(range(9)),)]
+    computed.clear()
+    assert is_cohen_macaulay(build_complex([range(9)])) == (True, None)
+    assert computed == []
 
 
 @settings(max_examples=80, deadline=None)
