@@ -10,13 +10,15 @@ exact.  They run top-down, and a column that a pivot of the operator above
 clears is never built (:func:`betti_numbers` gives the span argument).
 No link code lives here, so ``invariants`` and ``gen`` load no classifier;
 :mod:`ubckit.homology` binds the public names too and is their home.
+:func:`_strong_core` shrinks a complex, with its Betti numbers kept, by
+removing dominated vertices, with no matrix.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .complexes import SimplicialComplex
+from .complexes import Face, SimplicialComplex
 from .vectors import _ExactVector
 
 
@@ -169,3 +171,69 @@ def _count_classes(items, pairs) -> int:
                         seen.add(y)
                         todo.append(y)
     return classes
+
+
+def _strong_core(facets) -> list[Face]:
+    """The facets, sorted, of a strong core of the complex with these facets
+    (canonical faces forming an antichain, in any order): dominated vertices
+    are removed until none is left (Barmak-Minian, "Strong homotopy types,
+    nerves and collapses", DCG 47, 2012).
+
+    A vertex v is dominated by w != v when every facet at v contains w, that
+    is, when lk(v) is a cone with apex w.  Then the deletion of v, all the
+    faces avoiding v, is a strong deformation retract of the complex, so the
+    reduced Betti numbers do not change.  Its facets are the facets avoiding
+    v and each F - v, F a facet at v, that no facet avoiding v contains: an
+    F - v lies in no other F' - v, as F does not lie in F'.  Only the
+    vertices of a facet that shrank or went can become dominated, so a
+    worklist checks again only those.  A cone, one facet included, has a
+    vertex as its core: its first apex, or the first vertex of the one facet
+    left.  Vertices are bits of an int, facets masks.
+    """
+    apexes = set(facets[0]).intersection(*facets[1:])
+    if apexes:
+        return [(min(apexes),)]
+    vertices = sorted({v for f in facets for v in f})
+    index = {v: k for k, v in enumerate(vertices)}
+    alive: dict[int, int] = {}  # facet id -> mask of its vertex indices
+    star: list[set[int]] = [set() for _ in vertices]  # vertex index -> ids of its facets
+    for j, facet in enumerate(facets):
+        alive[j] = sum(1 << index[v] for v in facet)
+        for v in facet:
+            star[index[v]].add(j)
+    todo = set(range(len(vertices)))
+    while todo and len(alive) > 1:
+        k = todo.pop()
+        ids, mine = star[k], 1 << k
+        common = -1
+        for j in ids:
+            common &= alive[j]
+            if common == mine:
+                break
+        if common == mine or not ids:
+            continue  # not dominated, or removed already
+        star[k] = set()
+        for j in ids:
+            rest = alive[j] ^ mine
+            vs = _bits(rest)
+            todo.update(vs)
+            # a facet holding rest is in the star of each of its vertices
+            others = min((star[u] for u in vs), key=len)
+            if any(rest & ~alive[i] == 0 for i in others if i != j):
+                del alive[j]
+                for u in vs:
+                    star[u].discard(j)
+            else:
+                alive[j] = rest
+    core = sorted(tuple(vertices[k] for k in _bits(mask)) for mask in alive.values())
+    return core if len(core) > 1 else [core[0][:1]]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

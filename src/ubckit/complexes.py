@@ -6,8 +6,10 @@ and the empty face () is a face of every complex.  The empty complex {()}
 is representable; the void complex (no faces at all) is rejected.
 
 Instances are immutable; their only caches are the face lattice and the link
-table.  The lattice is enumerated on first use; it is a pure function of the
-facets, so the single-assignment write is idempotent and safe under
+table.  The lattice is filled one level at a time, each on first use, or
+by a link walk that groups the level anyway
+(:func:`ubckit.homology._link_records`); a level is a pure function of the
+facets, so each single-assignment write is idempotent and safe under
 concurrent first access.  Links are read off the facets into one table, keyed
 by facet tuples and shared with all the links (see :meth:`SimplicialComplex.link`);
 it and the Betti numbers memoized on its complexes live as long as any does.
@@ -64,11 +66,12 @@ class SimplicialComplex:
                 "(use [[]] for the empty complex)"
             )
         # faces come longest first, and distinct faces of one size never
-        # contain each other: test each only against longer kept faces
-        kept: list[Face] = []
-        longer: list[frozenset[int]] = []
-        block: list[Face] = []
-        for _, same_size in groupby(sorted(distinct, key=len, reverse=True), key=len):
+        # contain each other: test each only against longer kept faces, so
+        # the first block is kept with no test
+        sizes = groupby(sorted(distinct, key=len, reverse=True), key=len)
+        block: list[Face] = list(next(sizes)[1])
+        kept, longer = block[:], []
+        for _, same_size in sizes:
             longer += map(frozenset, block)
             block = [face for face in same_size
                      if not any(other.issuperset(face) for other in longer)]
@@ -117,23 +120,37 @@ class SimplicialComplex:
         return self._pure
 
     def _lattice(self) -> dict[int, tuple[Face, ...]]:
-        """{i: the i-faces, sorted} for i = -1 .. dim.  Each level is one set
-        of the k-subsets of the facets, k = i + 1; a facet with fewer than k
-        vertices gives none."""
+        """The levels enumerated so far, {i: the i-faces, sorted}; the empty
+        face, the vertices and the top facets are read off the complex."""
         by_dim = self._by_dim
         if by_dim is None:
-            facets, d = self._facets, self._dim
-            by_dim = {-1: ((),)}
-            for k in range(1, d + 1):
-                level = set(chain.from_iterable(combinations(f, k) for f in facets))
-                by_dim[k - 1] = tuple(sorted(level))
-            by_dim[d] = tuple(f for f in facets if len(f) == d + 1)  # sorted already
+            d = self._dim
+            by_dim = {-1: ((),), 0: tuple((v,) for v in self._vertices)}
+            by_dim[d] = tuple(f for f in self._facets if len(f) == d + 1)  # sorted already
             self._by_dim = by_dim  # idempotent write
         return by_dim
 
     def faces(self, i: int) -> tuple[Face, ...]:
-        """All faces of dimension i, sorted; empty outside -1..dim."""
-        return self._lattice().get(i, ())
+        """All faces of dimension i, sorted; empty outside -1..dim.  A level
+        is enumerated on first use, as one set of the (i+1)-subsets of the
+        facets, unless a link walk stored it first (:meth:`_level`)."""
+        by_dim = self._lattice()
+        level = by_dim.get(i)
+        if level is None:
+            if not 0 < i < self._dim:
+                return ()
+            subsets = chain.from_iterable(combinations(f, i + 1) for f in self._facets)
+            level = by_dim[i] = tuple(sorted(set(subsets)))  # idempotent write
+        return level
+
+    def _level(self, i: int, faces: Iterable[Face]) -> tuple[Face, ...]:
+        """faces(i), sorted from faces, which must be exactly the i-faces,
+        unless the level is enumerated already."""
+        by_dim = self._lattice()
+        level = by_dim.get(i)
+        if level is None:
+            level = by_dim[i] = tuple(sorted(faces))  # idempotent write
+        return level
 
     def has_face(self, face: Iterable[int]) -> bool:
         """True for a face of this complex: a face on k vertices is a

@@ -6,19 +6,23 @@ in :mod:`ubckit._chains`; its public names are bound here too.
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
 first within its dimension).  They share the complex's link table and the
-Betti numbers memoized on every link, and build a link only where counting
-cannot decide.
+Betti numbers memoized on every link, and build a link only for a face
+whose link fails.
 
 Every link sphere test is one lazy top-down walk, :func:`_link_records`, which
 the manifold, sphere, Cohen-Macaulay and UBC vertex-link checks and
-:func:`classify` all read.  It reads every link of a level off one pass over
-the facets (:func:`_link_facets`).  A face is tested only after all its
-cofaces passed, and the cofaces of F are the faces of lk(F), so lk(F) is
-then a homology manifold.  One test, :func:`_is_sphere`, decides whether
-such a link, or a complex whose links all passed, is a sphere: up to
-dimension 2 by counting on its facets alone, from dimension 3 on by its
-Betti numbers.  The Euler characteristic of every link of one level is a
-signed count of faces (:func:`_link_chi`).
+:func:`classify` all read; it yields only the faces whose link is not a
+sphere.  It reads every link of a level off one pass over the facets
+(:func:`_link_facets`; the ridges' by a count), whose keys are that level
+of the face lattice.  A face is tested only after all its cofaces passed,
+and the cofaces of F are the faces of lk(F), so lk(F) is then a homology
+manifold.  One test, :func:`_is_sphere`, decides whether such a link, or a
+complex whose links all passed, is a sphere: up to dimension 2 by counting
+on its facets alone, from dimension 3 on by the strong core of one vertex
+deletion, with no matrix unless that core is more than a point.  No link
+is built to be decided; only a failing link is, for its reason text.  The
+Euler characteristic of every link of one level is a signed count of faces
+(:func:`_link_chi`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,14 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from ._chains import BettiVector, _count_classes, betti_numbers, boundary_matrix, matrix_rank
+from ._chains import (
+    BettiVector,
+    _count_classes,
+    _strong_core,
+    betti_numbers,
+    boundary_matrix,
+    matrix_rank,
+)
 from .complexes import Face, SimplicialComplex
 
 
@@ -77,13 +88,19 @@ def _link_chi(sc: SimplicialComplex, i: int) -> Counter:
     """{F: chi(lk F)} over the i-faces F of a pure complex, with no link
     built: the faces of lk(F) are the H - F over the faces H strictly
     containing F, so chi(lk F) = sum_H (-1)^(dim H - i - 1), and each face
-    above level i adds its sign to each of its (i+1)-subsets."""
+    above level i adds its sign to each of its (i+1)-subsets.  For i = 0
+    that is a flat count of the vertices over those levels."""
     d = sc.dim
-    chi, even = (
-        Counter(chain.from_iterable(combinations(h, i + 1) for j in js for h in sc.faces(j)))
+    odd, even = (
+        chain.from_iterable(sc.faces(j) for j in js)
         for js in (range(i + 1, d + 1, 2), range(i + 2, d + 1, 2))
     )
-    chi.subtract(even)
+    if i == 0:
+        chi = Counter(chain.from_iterable(odd))
+        chi.subtract(Counter(chain.from_iterable(even)))
+        return Counter({(v,): c for v, c in chi.items()})
+    chi = Counter(chain.from_iterable(combinations(h, i + 1) for h in odd))
+    chi.subtract(Counter(chain.from_iterable(combinations(h, i + 1) for h in even)))
     return chi
 
 
@@ -94,9 +111,10 @@ def _euler_failure(face: Face, chi: int, m: int) -> Witness | None:
     return None
 
 
-def _is_sphere(sc: SimplicialComplex, facets, m: int) -> bool:
-    """Whether the complex with these facets (pure, of dimension m; either
-    sc itself or one of its links) has the reduced homology of the m-sphere.
+def _is_sphere(facets, m: int) -> bool:
+    """Whether the complex with these facets (pure, of dimension m, a list
+    or tuple of canonical faces; a complex's own or one of its links') has
+    the reduced homology of the m-sphere.
 
     Precondition: the link of each of its nonempty faces has the reduced
     homology of a sphere of complementary dimension.  Then up to m = 2 the
@@ -115,7 +133,28 @@ def _is_sphere(sc: SimplicialComplex, facets, m: int) -> bool:
       chi = f_0 - f_2 / 2; connectivity needs only the edges from the first
       vertex of each facet to its other vertices.
 
-    From m = 3 on the Betti numbers of sc._interned(facets) decide.
+    From m = 3 on, M (the complex) is a sphere exactly when the deletion
+    dl(v) of its vertex v in most facets is acyclic, and a strong core of
+    dl(v) (:func:`_strong_core`) has dl(v)'s Betti numbers: a point means a
+    sphere, and any other core is decided by its own Betti numbers.  The
+    proof: each ridge lies in exactly two facets, its link being the
+    0-sphere, so each F - v, F a facet at v, lies in a facet avoiding v, and
+    the facets avoiding v generate dl(v), all the faces avoiding v.  M is
+    the union of the star st(v), a cone, and dl(v), which meet in lk(v), a
+    homology (m-1)-sphere.  Mayer-Vietoris in reduced homology over Q, with
+    st(v) acyclic, gives the exact sequence
+    ... -> H_i(lk v) -> H_i(dl v) -> H_i(M) -> H_{i-1}(lk v) -> H_{i-1}(dl v) -> ...
+    If dl(v) is acyclic, H_i(M) = H_{i-1}(lk v) for every i, which is Q for
+    i = m and 0 otherwise.  Conversely, let M be a sphere.  For i < m - 1,
+    H_i(dl v) sits between H_i(lk v) = 0 and H_i(M) = 0.  M is connected and
+    its vertex links are connected, so its facets are ridge-connected and a
+    top cycle z != 0 is nonzero on every facet.  The connecting map sends z
+    to the boundary of z restricted to st(v), an (m-1)-cycle of lk(v) that
+    is nonzero on each F - v, hence a nonzero class, as lk(v) has no
+    m-faces.  So H_m(M) -> H_{m-1}(lk v) is an isomorphism: H_m(dl v), its
+    kernel, is 0, and the next map H_{m-1}(lk v) -> H_{m-1}(dl v) is zero;
+    as H_{m-1}(M) = 0, that map is onto, so H_{m-1}(dl v) = 0 too.  No link
+    complex is made.
     """
     if m <= 0:
         return m == -1 or len(facets) == 2
@@ -136,33 +175,50 @@ def _is_sphere(sc: SimplicialComplex, facets, m: int) -> bool:
         if len(vertices) - len(facets) // 2 != 2:
             return False
         return _count_classes(vertices, [(f[0], v) for f in facets for v in f[1:]]) == 1
-    betti = betti_numbers(sc._interned(facets))
-    return all(b == (1 if i == m else 0) for i, b in betti.items())
+    counts = Counter(chain.from_iterable(facets))
+    v = max(counts, key=counts.__getitem__)
+    core = _strong_core([f for f in facets if v not in f])
+    return len(core) == 1 or not any(betti_numbers(SimplicialComplex._trusted(core)).entries)
 
 
 def _link_records(sc: SimplicialComplex, lowest: int = 0):
-    """Yield (F, sphere, facets) lazily, top-down over the faces of
-    dimension dim - 1 .. lowest (lowest >= 0), facets being lk(F).facets
-    from one :func:`_link_facets` grouping per level.  Faces of dimension
-    dim are facets, whose link is the (-1)-sphere, and are left out.
+    """Yield (F, facets) lazily, top-down over the faces F of dimension
+    dim - 1 .. lowest (lowest >= 0) whose link is not a sphere, sorted
+    within each level, facets being lk(F).facets from one
+    :func:`_link_facets` grouping per level.  The keys of that grouping are
+    the level's faces, so the walk stores them in the face lattice
+    (:meth:`SimplicialComplex._level`).  Faces of dimension dim are facets,
+    whose link is the (-1)-sphere, and are left out.
 
-    sphere is a bool: :func:`_is_sphere` of lk F when the complex is pure
-    and every face F + v one dimension up was a sphere, for then by
-    induction all cofaces of F passed and lk F is a homology manifold;
-    False, untested, otherwise.  So the first face that is not a sphere was
-    tested.  A link of dimension >= 3 is decided on the Betti numbers of
-    its link-table entry, without the complex's lattice.
+    In a pure complex, F is tested by :func:`_is_sphere` when every face
+    F + v one dimension up was a sphere, for then by induction all cofaces
+    of F passed and lk F is a homology manifold; otherwise it is yielded
+    untested.  So the first face yielded was tested.  Each level is one pass
+    over its faces in order, which yields only the failures; a sphere face
+    costs its test and no generator step.  The top level, the ridges, is a
+    count: a ridge's link is the 0-sphere exactly when two facets hold it,
+    so the ridges are counted in one pass over the facets, and grouped
+    only when one fails.  In an impure complex every face is yielded.
     """
     pure, d = sc.is_pure, sc.dim
     failed: set[Face] = set()  # faces with a coface one dimension up not a sphere
     for i in range(d - 1, lowest - 1, -1):
-        groups, m = _link_facets(sc, i), d - i - 1
-        for face in sorted(groups):  # faster than sorting the items
-            facets = groups[face]
-            sphere = pure and face not in failed and _is_sphere(sc, facets, m)
-            if pure and not sphere:
+        m = d - i - 1
+        if pure and m == 0:
+            counts = Counter(chain.from_iterable(combinations(f, d) for f in sc.facets))
+            faces = sc._level(i, counts)
+            bad = [face for face in faces if counts[face] != 2]
+            groups = _link_facets(sc, i) if bad else {}
+        else:
+            groups = _link_facets(sc, i)
+            faces = sc._level(i, groups)
+            bad = faces if not pure else (
+                face for face in faces if face in failed or not _is_sphere(groups[face], m)
+            )
+        for face in bad:
+            if pure:
                 failed.update(face[:j] + face[j + 1 :] for j in range(len(face)))
-            yield face, sphere, facets
+            yield face, groups[face]
 
 
 def _link_facets(sc: SimplicialComplex, i: int) -> dict[Face, list[Face]]:
@@ -206,9 +262,8 @@ def is_homology_manifold(sc: SimplicialComplex):
     """
     if not sc.is_pure:
         return None, None, Witness(None, "complex is not pure")
-    for face, sphere, facets in _link_records(sc):
-        if not sphere:
-            return False, None, Witness(face, _not_a_sphere(sc._interned(facets)))
+    for face, facets in _link_records(sc):
+        return False, None, Witness(face, _not_a_sphere(sc._interned(facets)))
     return True, _is_orientable(sc) if sc.dim >= 0 else None, None
 
 
@@ -221,9 +276,9 @@ def is_homology_sphere(sc: SimplicialComplex) -> bool:
     """Homology manifold whose global reduced homology is a sphere's.  Once
     the manifold walk passes, the complex meets the precondition of
     :func:`_is_sphere`: up to dimension 2 no Betti number is computed."""
-    if not sc.is_pure or not all(sphere for _, sphere, _ in _link_records(sc)):
+    if not sc.is_pure or next(_link_records(sc), None):
         return False
-    return _is_sphere(sc, sc.facets, sc.dim)
+    return _is_sphere(sc.facets, sc.dim)
 
 
 def is_pseudomanifold(sc: SimplicialComplex):
@@ -236,15 +291,22 @@ def is_pseudomanifold(sc: SimplicialComplex):
     """
     if not sc.is_pure:
         return None, None, Witness(None, "complex is not pure")
+    wit = _pseudomanifold_failure(sc)
+    if wit:
+        return False, None, wit
+    return True, _is_orientable(sc) if sc.dim >= 0 else None, None
+
+
+def _pseudomanifold_failure(sc: SimplicialComplex) -> Witness | None:
+    """Why a pure complex is not a pseudomanifold, or None when it is."""
     d = sc.dim
     if d < 0:
-        return True, None, None
+        return None
     if d == 0:
         if sc.n_vertices != 2:
-            return False, None, Witness(
-                None, f"a 0-pseudomanifold has exactly 2 vertices, found {sc.n_vertices}"
-            )
-        return True, _is_orientable(sc), None
+            n = sc.n_vertices
+            return Witness(None, f"a 0-pseudomanifold has exactly 2 vertices, found {n}")
+        return None
 
     ridge_count: dict[Face, list[int]] = {}
     for idx, facet in enumerate(sc.facets):
@@ -254,18 +316,16 @@ def is_pseudomanifold(sc: SimplicialComplex):
     for ridge in sorted(ridge_count):
         owners = ridge_count[ridge]
         if len(owners) != 2:
-            return False, None, Witness(
-                ridge, f"ridge lies in {len(owners)} facets, expected exactly 2"
-            )
+            return Witness(ridge, f"ridge lies in {len(owners)} facets, expected exactly 2")
 
     facet_groups = _count_classes(range(len(sc.facets)), ridge_count.values())
     if facet_groups != connected_components(sc):
-        return False, None, Witness(
+        return Witness(
             None,
             "facets are not ridge-connected within each component "
             f"({facet_groups} facet groups vs {connected_components(sc)} components)",
         )
-    return True, _is_orientable(sc), None
+    return None
 
 
 def _middle_betti_bound(b: BettiVector, k: int) -> int:
@@ -310,13 +370,12 @@ def is_cohen_macaulay(sc: SimplicialComplex):
     homology manifold that is a sphere; only the other links are built.
     """
     manifold = True
-    for face, sphere, facets in _link_records(sc):
-        if not sphere:
-            manifold = False
-            wit = _reisner_failure(face, sc._interned(facets))
-            if wit:
-                return False, wit
-    if manifold and _is_sphere(sc, sc.facets, sc.dim):
+    for face, facets in _link_records(sc):
+        manifold = False
+        wit = _reisner_failure(face, sc._interned(facets))
+        if wit:
+            return False, wit
+    if manifold and _is_sphere(sc.facets, sc.dim):
         return True, None
     wit = _reisner_failure((), sc)
     return (False, wit) if wit else (True, None)
@@ -397,13 +456,13 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     three are found.  A sphere link has the sphere's chi and passes Reisner,
     so chi and Betti numbers are computed only off the spheres.  Buchsbaum
     is Reisner on the nonempty faces (:func:`is_buchsbaum`): it holds when
-    none failed, and otherwise is_buchsbaum runs for its witness.
+    none failed, and otherwise is_buchsbaum runs for its witness.  A
+    homology sphere is orientable with no Betti vector, and the
+    pseudomanifold check computes no orientation.
     """
     pure = sc.is_pure
     hm_w = semi_w = eul_w = cm_w = None
-    for face, sphere, facets in _link_records(sc):
-        if sphere:
-            continue
+    for face, facets in _link_records(sc):
         link = sc._interned(facets)
         if pure:
             hm_w = hm_w or Witness(face, _not_a_sphere(link))
@@ -415,16 +474,18 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     if pure:
         eul_w = semi_w or _euler_failure((), sc.euler_characteristic(), sc.dim)
         hm, semi, eul = hm_w is None, semi_w is None, eul_w is None
-    sphere = bool(hm) and _is_sphere(sc, sc.facets, sc.dim)
+    sphere = bool(hm) and _is_sphere(sc.facets, sc.dim)
     bb, bb_w = is_buchsbaum(sc) if cm_w or not pure else (True, None)
     if not (cm_w or sphere):
         cm_w = _reisner_failure((), sc)
-    pm, _, pm_w = is_pseudomanifold(sc)
-    orientable = _is_orientable(sc) if (hm or pm) and sc.dim >= 0 else None
+    pm_w = _pseudomanifold_failure(sc) if pure else None
+    pm = (pm_w is None) if pure else None
+    # a homology sphere is connected, or two points, with b_dim = 1
+    orientable = (sphere or _is_orientable(sc)) if (hm or pm) and sc.dim >= 0 else None
 
     flags = ("eulerian", "semi_eulerian", "homology_manifold", "pseudomanifold",
              "cohen_macaulay", "buchsbaum")
-    wits = (eul_w, semi_w, hm_w, pm_w if pm is False else None, cm_w, bb_w)
+    wits = (eul_w, semi_w, hm_w, pm_w, cm_w, bb_w)
     witnesses = {flag: wit for flag, wit in zip(flags, wits) if wit}
     if sphere is False:
         b = betti_numbers(sc)

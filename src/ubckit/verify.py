@@ -151,8 +151,10 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     Each other vertex link is judged on its chi by
     :func:`_inadmissible_link`; the chi of every vertex link comes from one
     count of the faces (:func:`~ubckit.homology._link_chi`), made unless
-    every vertex failed.  Links are built from the walk's facets, for a
-    failing face or dimension >= 3, and vertex links only for Betti numbers.
+    every vertex failed.  A link is built from the walk's facets only for a
+    failing face, and a vertex link only for Betti numbers; the walk leaves
+    its face levels in the complex's lattice for the chi count and the
+    f-vector.
     """
     if mode not in ("theorem", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -168,8 +170,8 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
             reason = "pseudomanifold is not orientable"
         items.append(Hypothesis("complex is an oriented pseudomanifold", ok, reason))
     failures: dict[int, str] = {}
-    for face, sphere, facets in _link_records(sc, 1):
-        if not sphere and any(v not in failures for v in face):
+    for face, facets in _link_records(sc, 1):
+        if any(v not in failures for v in face):
             link = sc._interned(facets)
             reason = f"link is not a homology manifold: {_not_a_sphere(link)}"
             for v in face:

@@ -1,10 +1,13 @@
 """The shared complex corpus: pure complexes spanning dimensions 1 to 4.
 
 Acceptance identities run over CORPUS; degenerate and impure inputs used by
-individual unit tests live in EXTRAS.
+individual unit tests live in EXTRAS.  staircase_product triangulates the
+product of two complexes, for manifolds that are not spheres.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from ubckit import (
     SimplicialComplex,
@@ -19,6 +22,28 @@ from ubckit import (
     torus_7,
     wedge,
 )
+
+
+def staircase_product(a, b):
+    """Staircase triangulation of |a| x |b|: each pair of facets gives one
+    simplex per monotone lattice path through their vertex pairs; (u, v) is
+    vertex u * |b.vertices| + v."""
+    width = b.n_vertices
+    facets = []
+    for s in a.facets:
+        for t in b.facets:
+            steps = len(s) + len(t) - 2
+            for ups in combinations(range(steps), len(t) - 1):
+                i = j = 0
+                path = [s[0] * width + t[0]]
+                for step in range(steps):
+                    if step in ups:
+                        j += 1
+                    else:
+                        i += 1
+                    path.append(s[i] * width + t[j])
+                facets.append(path)
+    return build_complex(facets)
 
 
 def _corpus() -> dict[str, SimplicialComplex]:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     _euler_failure,
+    brute_force_betti,
     classify_by_definition,
     reisner_cohen_macaulay,
+    scan_link,
     vertex_link_buchsbaum,
 )
 from ubckit import homology
@@ -171,12 +173,29 @@ def test_chi_count_matches_the_links(sc):
 @given(st.one_of(complexes(), RANDOM))
 @example(cross_polytope(4))
 @example(torus_7())
+@example(suspension(torus_7()))
 def test_link_records_start_below_the_facets(sc):
-    # a facet's link is the (-1)-sphere, so the walk starts one level down:
-    # a pure complex's facets are never yielded, and the walk ends at lowest
+    # a facet's link is the (-1)-sphere, so the walk starts one level down
+    # and ends at lowest.  It yields, top-down and sorted within a level,
+    # every face of an impure complex, and the faces of a pure one with a
+    # coface or itself (dimension < dim) whose link is not a sphere, with
+    # those links' facets; it leaves each level it reads in the lattice
     if sc.is_pure:
-        assert not set(sc.facets) & {face for face, _, _ in homology._link_records(sc)}
+        assert not set(sc.facets) & {face for face, _ in homology._link_records(sc)}
+    below = [face for i in range(sc.dim - 1, -1, -1) for face in sc.faces(i)]
+    bad = set()
+    for face in below:  # cofaces first
+        link = scan_link(sc, face)
+        sphere = (0,) * (link.dim + 1) + (1,)
+        if brute_force_betti(link.facets) != sphere or any(
+            len(g) == len(face) + 1 and set(face) < set(g) for g in bad
+        ):
+            bad.add(face)
     for lowest in range(0, sc.dim + 1):
-        assert [face for face, _, _ in homology._link_records(sc, lowest)] == [
-            face for i in range(sc.dim - 1, lowest - 1, -1) for face in sc.faces(i)
+        fresh = build_complex(sc.facets)
+        records = list(homology._link_records(fresh, lowest))
+        assert [face for face, _ in records] == [
+            face for face in below if len(face) > lowest and (not sc.is_pure or face in bad)
         ]
+        assert all(tuple(facets) == scan_link(sc, face).facets for face, facets in records)
+        assert all(fresh._by_dim[i] == sc.faces(i) for i in range(lowest, sc.dim))

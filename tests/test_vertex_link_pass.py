@@ -2,13 +2,18 @@
 per-vertex oracle, the facet grouping against the scanned links, and the
 rank-free sphere test and Euler characteristic against brute force."""
 
-from itertools import combinations
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_betti, brute_force_f_vector, per_vertex_ubc_hypotheses, scan_link
+from corpus_data import staircase_product
+from oracles import (
+    brute_force_betti,
+    brute_force_f_vector,
+    brute_force_faces,
+    per_vertex_ubc_hypotheses,
+    scan_link,
+)
 from ubckit import (
     boundary_simplex,
     build_complex,
@@ -130,12 +135,13 @@ ANY_FACETS = st.lists(
 def _reached_links(run):
     """The (facets, m) decisions the sphere test makes while run() walks:
     on facet lists grouped from the complex, rank-free up to m = 2 and by
-    Betti numbers from m = 3 on, and on the whole complex's facets."""
+    the strong core of a vertex deletion from m = 3 on, and on the whole
+    complex's facets."""
     reached = []
     test = homology._is_sphere
 
-    def record(sc, facets, m):
-        result = test(sc, facets, m)
+    def record(facets, m):
+        result = test(facets, m)
         reached.append((tuple(facets), m, result))
         return result
 
@@ -145,8 +151,7 @@ def _reached_links(run):
     return reached
 
 
-def _assert_agrees_with_brute_force(reached):
-    assert reached
+def _assert_agrees_with_brute_force(sc, reached):
     for facets, m, result in reached:
         assert {len(f) for f in facets} == {m + 1}, facets
         sphere = (0,) * (m + 1) + (1,)
@@ -155,6 +160,12 @@ def _assert_agrees_with_brute_force(reached):
             # each edge in two triangles: chi = f_0 - f_2 / 2
             f = brute_force_f_vector(facets)
             assert f[1] - len(facets) // 2 == f[1] - f[2] + f[3], facets
+    # the walk reads the links of the ridges, 0-dimensional, off the number
+    # of facets at each; once every ridge lies in two, it tests the level
+    # below, whose links are 1-dimensional
+    ridge_links = homology._link_facets(sc, sc.dim - 1).values() if sc.dim >= 1 else ()
+    if sc.dim >= 2 and all(len(facets) == 2 for facets in ridge_links):
+        assert any(m == 1 for _, m, _ in reached)
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,19 +175,20 @@ def test_sphere_test_agrees_with_brute_force_in_a_manifold_walk(sc):
     # complexes of dimension 0..3 and on the complexes above, whose vertex
     # links include 2-dimensional manifolds that are not spheres (suspended
     # tori).  The manifold walk does not test facets, whose link is the
-    # (-1)-sphere, so on a 0-dimensional complex it decides nothing.
+    # (-1)-sphere, and counts the facets at each ridge, so on a complex of
+    # dimension <= 1 it makes no sphere test.
     reached = _reached_links(lambda: is_homology_manifold(sc))
-    if sc.dim == 0:
+    if sc.dim <= 1:
         assert reached == []
-    else:
-        _assert_agrees_with_brute_force(reached)
-    _assert_agrees_with_brute_force(_reached_links(lambda: classify(build_complex(sc.facets))))
+    _assert_agrees_with_brute_force(sc, reached)
+    fresh = build_complex(sc.facets)
+    _assert_agrees_with_brute_force(sc, _reached_links(lambda: classify(fresh)))
 
 
 @settings(max_examples=25, deadline=None)
 @given(odd_complexes())
 def test_sphere_test_agrees_with_brute_force_in_the_vertex_link_pass(sc):
-    _assert_agrees_with_brute_force(_reached_links(lambda: check_ubc_hypotheses(sc)))
+    _assert_agrees_with_brute_force(sc, _reached_links(lambda: check_ubc_hypotheses(sc)))
 
 
 @st.composite
@@ -199,14 +211,14 @@ def test_cycle_walk_agrees_with_the_component_count(union):
     edges, cycles = union
     vertices = {v for e in edges for v in e}
     connected = homology._count_classes(vertices, edges) == 1
-    assert homology._is_sphere(build_complex(edges), edges, 1) is connected is (cycles == 1)
+    assert homology._is_sphere(edges, 1) is connected is (cycles == 1)
 
 
 @pytest.mark.parametrize("surface", SURFACES[:4], ids=["tetrahedron", "octahedron", "torus", "rp2"])
 def test_two_dimensional_manifold_links_build_no_face_lattice(surface):
     apex_link = suspension(surface)._face_link((surface.n_vertices,))
     assert apex_link == surface
-    sphere = homology._is_sphere(apex_link, apex_link.facets, 2)
+    sphere = homology._is_sphere(apex_link.facets, 2)
     assert sphere is (surface.euler_characteristic() == 2)
     assert apex_link._by_dim is None
 
@@ -235,13 +247,14 @@ def test_classify_and_dehn_sommerville_build_no_link():
 
 def test_ubc_hypotheses_build_no_vertex_link_lattice():
     # every vertex link of a cyclic 5-sphere passes, and its chi is counted
-    # off the faces: the 3-dimensional edge links take the Betti route,
-    # straight from the grouped facets, so no vertex link is built
+    # off the faces: the 3-dimensional edge links are decided by the strong
+    # core of a deletion, straight from the grouped facets, so no link at
+    # all is built, and the walk leaves every level it grouped, each one
+    # enumerated once, in the complex's lattice
     sc = gale_facets(6, 12)
     assert all(h.status for h in check_ubc_hypotheses(sc))
-    edge_links = {scan_link(sc, e).facets for e in sc.faces(1)}
-    assert set(sc._links) == {sc.facets} | edge_links
-    assert not {scan_link(sc, (v,)).facets for v in sc.vertices} & set(sc._links)
+    assert sc._links is None
+    assert all(sc._by_dim[i] == brute_force_faces(sc.facets, i) for i in range(1, 5))
 
 
 def test_lower_bounds_build_only_the_vertex_links():
@@ -255,43 +268,38 @@ def test_lower_bounds_build_only_the_vertex_links():
 
 
 def test_link_table_has_one_key_per_link():
-    sc = cross_polytope(5)
+    # only failing links are interned: none on a sphere; on the join of two
+    # tori every link with a torus in it fails, and is_buchsbaum's vertex
+    # links share the table
+    sphere = cross_polytope(5)
+    classify(sphere)
+    assert sphere._links is None
+    sc = join(torus_7(), torus_7())
     classify(sc)
-    assert sc._links
+    assert len(sc._links) > 1
     assert all(key == lk.facets for key, lk in sc._links.items())
-
-
-def _product(a, b):
-    """Staircase triangulation of |a| x |b|: each pair of facets gives one
-    simplex per monotone lattice path through their vertex pairs; (u, v) is
-    vertex u * |b.vertices| + v."""
-    width = b.n_vertices
-    facets = []
-    for s in a.facets:
-        for t in b.facets:
-            steps = len(s) + len(t) - 2
-            for ups in combinations(range(steps), len(t) - 1):
-                i = j = 0
-                path = [s[0] * width + t[0]]
-                for step in range(steps):
-                    if step in ups:
-                        j += 1
-                    else:
-                        i += 1
-                    path.append(s[i] * width + t[j])
-                facets.append(path)
-    return build_complex(facets)
+    assert all(lk._links is sc._links for lk in sc._links.values())
 
 
 def test_a_connected_three_dimensional_link_takes_the_betti_route():
     # a circle joined with S^2 x S^1: each circle edge has the connected
     # 3-manifold S^2 x S^1 as its link, not a sphere, and all its cofaces
-    # pass, so its link is tested and only Betti numbers can reject it
-    s2s1 = _product(boundary_simplex(2), boundary_simplex(3))
+    # pass, so its link is tested.  The strong core of its vertex deletion
+    # is more than a point, and only that core's Betti numbers can reject
+    # it; the reason still comes from the link's own Betti numbers
+    s2s1 = staircase_product(boundary_simplex(2), boundary_simplex(3))
     assert brute_force_betti(s2s1.facets) == (0, 0, 1, 1, 1)
     sc = join(boundary_simplex(2), s2s1)
-    flag, _, wit = is_homology_manifold(sc)
+    cores, computed = [], []
+    core, betti = homology._strong_core, homology.betti_numbers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_strong_core", lambda facets: cores.append(core(facets)) or cores[-1])
+        mp.setattr(homology, "betti_numbers", lambda c: computed.append(c.facets) or betti(c))
+        flag, _, wit = is_homology_manifold(sc)
     assert (flag, wit.face) == (False, (0, 1))
+    first_core = tuple(cores[-1])
+    assert len(first_core) > 1 and brute_force_betti(first_core) != (0,) * 5
+    assert computed == [first_core, s2s1.relabeled({v: v + 3 for v in s2s1.vertices}).facets]
     reason = (
         "link is not a homology manifold: link has reduced Betti numbers "
         "[0, 0, 1, 1, 1] (indices -1..3), not those of a 3-sphere"
