@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from ._exact import _ExactVector
 from .complexes import Face, SimplicialComplex
-from .vectors import _ExactVector
 
 
 class BettiVector(_ExactVector):

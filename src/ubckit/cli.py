@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 from ._chains import betti_numbers  # invariants needs no link classifier
 from .facetfile import FacetFileError, load_complex, render_facet_text
-from .vectors import h_from_f, short_h_from_f
 
 if TYPE_CHECKING:  # argparse loads only where build_parser runs
     import argparse
@@ -39,6 +38,8 @@ class _UsageError(Exception):
 
 
 def _invariants_dict(name, sc) -> dict:
+    from .vectors import h_from_f, short_h_from_f  # classify and gen need no transform
+
     f = sc.f_vector()
     out = {
         "name": name,

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from itertools import chain, combinations, groupby
 from typing import Iterable
 
-from .vectors import FVector
+from ._exact import FVector
 
 Face = tuple[int, ...]
 

@@ -7,8 +7,8 @@ are the comparison benchmark for all upper-bound checks.
 
 from __future__ import annotations
 
+from ._exact import binomial
 from .complexes import SimplicialComplex
-from .vectors import binomial
 
 
 def _check_spec(d: int, n: int) -> None:

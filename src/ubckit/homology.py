@@ -10,8 +10,8 @@ Betti numbers memoized on every link, and build a link only for a face
 whose link fails.
 
 Every link sphere test is one lazy top-down walk, :func:`_link_records`, which
-the manifold, sphere, Cohen-Macaulay and UBC vertex-link checks and
-:func:`classify` all read; it yields only the faces whose link is not a
+the manifold, sphere, Cohen-Macaulay, Buchsbaum and UBC vertex-link checks
+and :func:`classify` all read; it yields only the faces whose link is not a
 sphere.  It reads every link of a level off one pass over the facets
 (:func:`_link_facets`; the ridges' by a count), whose keys are that level
 of the face lattice.  A face is tested only after all its cofaces passed,
@@ -382,18 +382,46 @@ def is_cohen_macaulay(sc: SimplicialComplex):
 
 
 def is_buchsbaum(sc: SimplicialComplex):
-    """Pure with every vertex link Cohen-Macaulay.  Returns (flag, witness).
+    """Pure with every vertex link Cohen-Macaulay.  Returns (flag, witness);
+    the witness is the least vertex whose link is not Cohen-Macaulay, with
+    the reason is_cohen_macaulay(lk v) gives.
+
     As lk_{lk v}(G) = lk(G + v), this is Reisner's condition on the nonempty
-    faces (Schenzel 1981); the first failing vertex link stops the check."""
+    faces (Schenzel 1981), so it is read off one walk of the complex
+    (:func:`_link_records`) and no vertex link is walked again.  The walk
+    keeps the witness of the vertex-by-vertex definition: on the faces
+    G + v its order (-dim, G + v) is lk(v)'s own order (-dim, G), and the
+    vertex v, lk(v)'s empty face, comes last, so the first face containing
+    v that fails Reisner gives the reason is_cohen_macaulay(lk v) reports.
+    A face is tested only while one of its vertices has no reason yet.
+
+    The least vertex's link is probed first, with is_cohen_macaulay.  A
+    complex that fails there, such as the join of two tori, in which every
+    link with a torus in it fails, then costs one vertex link and no walk;
+    the walk would test failing faces on every level before that vertex's
+    last one.  When the probe passes, so does every face containing the
+    least vertex, and the walk skips them; it stops once the second vertex
+    has a reason, as no other vertex can then be the witness.
+    """
     if not sc.is_pure:
         return False, Witness(None, "complex is not pure")
-    for v in sc.vertices:
-        flag, inner = is_cohen_macaulay(sc._face_link((v,)))
-        if not flag:
-            return False, Witness(
-                (v,), f"link of vertex {v} is not Cohen-Macaulay: {inner.reason}"
-            )
-    return True, None
+    if not sc.vertices:
+        return True, None
+    first = sc.vertices[0]
+    flag, inner = is_cohen_macaulay(sc._face_link((first,)))
+    reasons = {} if flag else {first: inner.reason}
+    for face, facets in _link_records(sc) if flag else ():
+        if face[0] != first and any(v not in reasons for v in face):
+            wit = _reisner_failure(face, sc._interned(facets))
+            if wit:
+                for v in face:
+                    reasons.setdefault(v, wit.reason)
+                if sc.vertices[1] in reasons:
+                    break
+    if not reasons:
+        return True, None
+    v = min(reasons)
+    return False, Witness((v,), f"link of vertex {v} is not Cohen-Macaulay: {reasons[v]}")
 
 
 _TRISTATE = {True: True, False: False, None: "not-applicable"}
@@ -458,7 +486,8 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     is Reisner on the nonempty faces (:func:`is_buchsbaum`): it holds when
     none failed, and otherwise is_buchsbaum runs for its witness.  A
     homology sphere is orientable with no Betti vector, and the
-    pseudomanifold check computes no orientation.
+    pseudomanifold check computes no orientation and is skipped on a
+    homology manifold of dimension >= 1.
     """
     pure = sc.is_pure
     hm_w = semi_w = eul_w = cm_w = None
@@ -478,7 +507,11 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     bb, bb_w = is_buchsbaum(sc) if cm_w or not pure else (True, None)
     if not (cm_w or sphere):
         cm_w = _reisner_failure((), sc)
-    pm_w = _pseudomanifold_failure(sc) if pure else None
+    # a homology manifold of dimension >= 1 is a pseudomanifold: its ridge
+    # links are 0-spheres, and its facets are ridge-connected in each
+    # component, its vertex links being connected (or, in dimension 1, each
+    # component a cycle); a 0-pseudomanifold needs exactly 2 vertices
+    pm_w = _pseudomanifold_failure(sc) if pure and not (hm and sc.dim >= 1) else None
     pm = (pm_w is None) if pure else None
     # a homology sphere is connected, or two points, with b_dim = 1
     orientable = (sphere or _is_orientable(sc)) if (hm or pm) and sc.dim >= 0 else None

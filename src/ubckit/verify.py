@@ -13,7 +13,6 @@ import json
 from typing import NamedTuple
 
 from .complexes import SimplicialComplex
-from .cyclic import cyclic_h
 from .homology import (
     _is_orientable,
     _link_chi,
@@ -187,6 +186,8 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
 
 def _h_rows(h_here, d: int, n: int, stop: int, binding: bool = True) -> list[Inequality]:
     """The rows h_i <= h_i(C_d(n)) for i = 0 .. stop - 1."""
+    from .cyclic import cyclic_h  # dehn-sommerville and lower-bounds need no cyclic polytope
+
     rows = []
     for i in range(stop):
         h_cyc = cyclic_h(d, n, i)
@@ -207,6 +208,8 @@ def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
     The cyclic polytope's f-vector comes from its closed-form h-vector
     (:func:`cyclic_h`), not from enumerating its facets.
     """
+    from .cyclic import cyclic_h
+
     k = _odd_dimension_k(sc)
     d = 2 * k + 2
     n = sc.n_vertices

@@ -331,15 +331,15 @@ def reisner_cohen_macaulay(sc):
     return True, None
 
 
-def vertex_link_buchsbaum(sc):
+def vertex_link_buchsbaum(sc, cohen_macaulay=reisner_cohen_macaulay):
     """is_buchsbaum as its definition: pure, and Reisner's criterion on each
-    vertex link."""
+    vertex link, checked in turn by cohen_macaulay."""
     from ubckit import Witness
 
     if not sc.is_pure:
         return False, Witness(None, "complex is not pure")
     for v in sc.vertices:
-        flag, inner = reisner_cohen_macaulay(scan_link(sc, (v,)))
+        flag, inner = cohen_macaulay(scan_link(sc, (v,)))
         if not flag:
             return False, Witness(
                 (v,), f"link of vertex {v} is not Cohen-Macaulay: {inner.reason}"

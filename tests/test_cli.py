@@ -293,7 +293,7 @@ from ubckit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main(sys.argv[1:])
 watched = ("argparse", "dataclasses", "decimal", "fractions", "gettext", "ubckit.corpus",
-           "ubckit.cyclic", "ubckit.homology", "ubckit.verify")
+           "ubckit.cyclic", "ubckit.homology", "ubckit.vectors", "ubckit.verify")
 print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
 
@@ -313,19 +313,25 @@ def _loaded_after(*argv) -> list[str]:
 def test_commands_load_only_what_they_run(tmp_path):
     # start-up budget: dataclasses, fractions (with decimal), the generators
     # and the statements stay out of invariants and classify; the link
-    # classifiers (homology) stay out of invariants and gen cyclic; verify
-    # ubc loads the statements and the cyclic h-vector, gen the generators,
-    # and gen torus-7 the classifiers that validate its embedded data;
-    # argparse (with gettext) loads only for a command line that is not
-    # well-formed
+    # classifiers (homology) stay out of invariants and gen cyclic; the
+    # vector transforms stay out of classify and gen; verify loads the
+    # statements, and the cyclic h-vector only for a statement that compares
+    # with the cyclic polytope; gen loads the generators, and gen torus-7
+    # the classifiers that validate its embedded data; argparse (with
+    # gettext) loads only for a command line that is not well-formed
     path = tmp_path / "t7.json"
     save_complex(path, "torus-7", torus_7())
     sphere = tmp_path / "c48.json"
     save_complex(sphere, "cyclic-4-8", gale_facets(4, 8))
-    assert _loaded_after("invariants", str(path)) == []
+    assert _loaded_after("invariants", str(path)) == ["ubckit.vectors"]
     assert _loaded_after("classify", str(path)) == ["ubckit.homology"]
     assert _loaded_after("verify", "ubc", str(sphere)) == [
-        "ubckit.cyclic", "ubckit.homology", "ubckit.verify"]
+        "ubckit.cyclic", "ubckit.homology", "ubckit.vectors", "ubckit.verify"]
+    for statement in ("dehn-sommerville", "lower-bounds"):
+        assert _loaded_after("verify", statement, str(sphere)) == [
+            "ubckit.homology", "ubckit.vectors", "ubckit.verify"]
+    for statement in ("lemma-hh", "sphere-ubc"):
+        assert "ubckit.vectors" in _loaded_after("verify", statement, str(path))
     assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus", "ubckit.cyclic"]
     assert _loaded_after("gen", "torus-7") == ["ubckit.corpus", "ubckit.cyclic", "ubckit.homology"]
     assert "argparse" in _loaded_after("verify", "nonsense", "x.json")
