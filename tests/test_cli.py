@@ -614,6 +614,29 @@ def test_verify_link_statements_are_pinned(tmp_path, capsys, statement, make, st
     assert capsys.readouterr().out == golden
 
 
+@pytest.mark.parametrize(
+    "statement, spec",
+    [
+        ("lemma-hh", "cross-polytope(3)"),
+        ("lemma-hh", "torus-7"),
+        ("sphere-ubc", "cyclic(4,8)"),
+        ("sphere-ubc", "boundary-simplex(1)"),
+        ("ubc", "cyclic(4,8)"),
+    ],
+)
+def test_verify_cyclic_comparisons_are_pinned(tmp_path, capsys, statement, spec):
+    # every row x_i <= x_i(C_d(n)): lemma-hh passing on the octahedron and
+    # vacuous on the torus (chi = 0, middle Betti bound fails), sphere-ubc
+    # passing and with the comparison undefined (no rows), and ubc with every
+    # binding row holding beside the informational h rows
+    name, sc = generate(spec)
+    path = tmp_path / "c.json"
+    save_complex(path, name, sc)
+    golden = (GOLDEN / f"verify-{statement}-{name}.json").read_text()
+    assert main(["verify", statement, str(path)]) == json.loads(golden)["exit_code"]
+    assert capsys.readouterr().out == golden
+
+
 def _sweep_directory(directory):
     for n in (8, 9, 12):
         sc = gale_facets(4, n)
