@@ -23,6 +23,11 @@ deletion, with no matrix unless that core is more than a point.  No link
 is built to be decided; only a failing link is, for its reason text.  The
 Euler characteristic of every link of one level is a signed count of faces
 (:func:`_link_chi`).
+
+The two conditions on every vertex link, Cohen-Macaulay for Buchsbaum and
+homology manifold for the UBC hypotheses, are one pass over that walk,
+:func:`_vertex_reasons`, which gives each vertex the reason of its first
+failing face.
 """
 
 from __future__ import annotations
@@ -381,27 +386,47 @@ def is_cohen_macaulay(sc: SimplicialComplex):
     return (False, wit) if wit else (True, None)
 
 
+def _vertex_reasons(sc: SimplicialComplex, records, failure, stop=None) -> dict[int, str]:
+    """{v: the reason of v's first failing face} over records, (F, facets)
+    pairs of a :func:`_link_records` walk of sc, F failing when
+    failure(F, lk F) gives a Witness.  A face is tested only while one of
+    its vertices has no reason yet; the pass stops once the vertex stop, or
+    every vertex, has one.
+
+    The reason a vertex v gets is the one that a walk of lk(v) itself
+    gives: the faces of lk(v) are the G for faces G + v of sc, with
+    lk_{lk v}(G) = lk(G + v), and on the faces G + v the walk's order
+    (-dim, G + v) is lk(v)'s own order (-dim, G), the vertex v, lk(v)'s
+    empty face, coming last.  A face the walk leaves out has a sphere link,
+    which fails neither the manifold nor the Reisner test.
+    """
+    reasons: dict[int, str] = {}
+    for face, facets in records:
+        if any(v not in reasons for v in face):
+            wit = failure(face, sc._interned(facets))
+            if wit:
+                for v in face:
+                    reasons.setdefault(v, wit.reason)
+                if stop in reasons or len(reasons) == sc.n_vertices:
+                    break
+    return reasons
+
+
 def is_buchsbaum(sc: SimplicialComplex):
     """Pure with every vertex link Cohen-Macaulay.  Returns (flag, witness);
     the witness is the least vertex whose link is not Cohen-Macaulay, with
     the reason is_cohen_macaulay(lk v) gives.
 
-    As lk_{lk v}(G) = lk(G + v), this is Reisner's condition on the nonempty
-    faces (Schenzel 1981), so it is read off one walk of the complex
-    (:func:`_link_records`) and no vertex link is walked again.  The walk
-    keeps the witness of the vertex-by-vertex definition: on the faces
-    G + v its order (-dim, G + v) is lk(v)'s own order (-dim, G), and the
-    vertex v, lk(v)'s empty face, comes last, so the first face containing
-    v that fails Reisner gives the reason is_cohen_macaulay(lk v) reports.
-    A face is tested only while one of its vertices has no reason yet.
-
-    The least vertex's link is probed first, with is_cohen_macaulay.  A
-    complex that fails there, such as the join of two tori, in which every
-    link with a torus in it fails, then costs one vertex link and no walk;
-    the walk would test failing faces on every level before that vertex's
-    last one.  When the probe passes, so does every face containing the
-    least vertex, and the walk skips them; it stops once the second vertex
-    has a reason, as no other vertex can then be the witness.
+    This is Reisner's condition on the nonempty faces (Schenzel 1981), so
+    it is read off one walk of the complex (:func:`_vertex_reasons`) and no
+    vertex link is walked again.  The least vertex's link is probed first,
+    with is_cohen_macaulay.  A complex that fails there, such as the join of
+    two tori, in which every link with a torus in it fails, then costs one
+    vertex link and no walk; the walk would test failing faces on every
+    level before that vertex's last one.  When the probe passes, so does
+    every face containing the least vertex, and the walk skips them; it
+    stops once the second vertex has a reason, as no other vertex can then
+    be the witness.
     """
     if not sc.is_pure:
         return False, Witness(None, "complex is not pure")
@@ -409,15 +434,12 @@ def is_buchsbaum(sc: SimplicialComplex):
         return True, None
     first = sc.vertices[0]
     flag, inner = is_cohen_macaulay(sc._face_link((first,)))
-    reasons = {} if flag else {first: inner.reason}
-    for face, facets in _link_records(sc) if flag else ():
-        if face[0] != first and any(v not in reasons for v in face):
-            wit = _reisner_failure(face, sc._interned(facets))
-            if wit:
-                for v in face:
-                    reasons.setdefault(v, wit.reason)
-                if sc.vertices[1] in reasons:
-                    break
+    if flag:
+        records = (record for record in _link_records(sc) if record[0][0] != first)
+        stop = sc.vertices[1] if sc.n_vertices > 1 else None
+        reasons = _vertex_reasons(sc, records, _reisner_failure, stop)
+    else:
+        reasons = {first: inner.reason}
     if not reasons:
         return True, None
     v = min(reasons)

@@ -14,11 +14,13 @@ from typing import NamedTuple
 
 from .complexes import SimplicialComplex
 from .homology import (
+    Witness,
     _is_orientable,
     _link_chi,
     _link_records,
     _middle_betti_bound,
     _not_a_sphere,
+    _vertex_reasons,
     betti_numbers,
     is_buchsbaum,
     is_eulerian,
@@ -128,6 +130,10 @@ def _inadmissible_link(sc: SimplicialComplex, v: int, chi: int, k: int, mode: st
     return None
 
 
+def _not_a_manifold(face, link: SimplicialComplex) -> Witness:
+    return Witness(face, f"link is not a homology manifold: {_not_a_sphere(link)}")
+
+
 def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[Hypothesis, ...]:
     """Per-vertex admissibility items for the odd-dimensional upper bound.
 
@@ -137,17 +143,12 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     vertex link is a homology manifold with vanishing middle homology or
     with (-1)^k (chi - 2) <= 0.
 
-    The vertex links are checked in one top-down walk of the faces of
-    dimension dim - 1 .. 1 (:func:`~ubckit.homology._link_records`), not
-    one :func:`is_homology_manifold` per link.  The faces of lk(v) are the
-    G - v for faces G containing v, with lk_{lk v}(G - v) = lk(G), and on
-    faces containing v the order (-dim, G) is the order (-dim, G - v).  The
-    cofaces of the first face G containing v whose link is not a sphere
-    all contain v and passed, so the walk tests G, and G and its reason are
-    the ones is_homology_manifold(lk v) reports.  The reason is computed
-    only for a face with a vertex not yet failed (an untested face has only
-    failed vertices), and the walk stops once every vertex has failed.
-    Each other vertex link is judged on its chi by
+    Whether each vertex link is a homology manifold is read off one
+    top-down walk of the faces of dimension dim - 1 .. 1
+    (:func:`~ubckit.homology._vertex_reasons`), not one
+    :func:`is_homology_manifold` per link; a failing vertex gets the reason
+    is_homology_manifold(lk v) gives, and the walk stops once every vertex
+    has failed.  Each other vertex link is judged on its chi by
     :func:`_inadmissible_link`; the chi of every vertex link comes from one
     count of the faces (:func:`~ubckit.homology._link_chi`), made unless
     every vertex failed.  A link is built from the walk's facets only for a
@@ -168,15 +169,7 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
         elif not orientable:
             reason = "pseudomanifold is not orientable"
         items.append(Hypothesis("complex is an oriented pseudomanifold", ok, reason))
-    failures: dict[int, str] = {}
-    for face, facets in _link_records(sc, 1):
-        if any(v not in failures for v in face):
-            link = sc._interned(facets)
-            reason = f"link is not a homology manifold: {_not_a_sphere(link)}"
-            for v in face:
-                failures.setdefault(v, reason)
-            if len(failures) == sc.n_vertices:
-                break
+    failures = _vertex_reasons(sc, _link_records(sc, 1), _not_a_manifold)
     chi = _link_chi(sc, 0) if len(failures) < sc.n_vertices else None
     for v in sc.vertices:
         reason = failures.get(v) or _inadmissible_link(sc, v, chi[(v,)], k, mode)
@@ -184,17 +177,22 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     return tuple(items)
 
 
-def _h_rows(h_here, d: int, n: int, stop: int, binding: bool = True) -> list[Inequality]:
-    """The rows h_i <= h_i(C_d(n)) for i = 0 .. stop - 1."""
+def _cyclic_h(d: int, n: int) -> HVector:
+    """The h-vector of the cyclic d-polytope C_d(n), which needs n > d."""
+    if n < d + 1:
+        raise ValueError(f"need at least {d + 1} vertices for the cyclic comparison, got {n}")
     from .cyclic import cyclic_h  # dehn-sommerville and lower-bounds need no cyclic polytope
 
-    rows = []
-    for i in range(stop):
-        h_cyc = cyclic_h(d, n, i)
-        rows.append(
-            Inequality(f"h_{i} <= h_{i}(C_{d}({n}))", h_here[i], h_cyc, h_here[i] <= h_cyc, binding)
-        )
-    return rows
+    return HVector(cyclic_h(d, n, i) for i in range(d + 1))
+
+
+def _cyclic_rows(name, here, cyc, indices, d, n, binding=True) -> tuple[Inequality, ...]:
+    """The rows name_i <= name_i(C_d(n)) for i in indices, here and cyc
+    being the two vectors."""
+    return tuple(
+        Inequality(f"{name}_{i} <= {name}_{i}(C_{d}({n}))", a, b, a <= b, binding)
+        for i, a, b in ((i, here[i], cyc[i]) for i in indices)
+    )
 
 
 def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
@@ -208,35 +206,19 @@ def verify_ubc(sc: SimplicialComplex) -> VerificationReport:
     The cyclic polytope's f-vector comes from its closed-form h-vector
     (:func:`cyclic_h`), not from enumerating its facets.
     """
-    from .cyclic import cyclic_h
-
     k = _odd_dimension_k(sc)
-    d = 2 * k + 2
-    n = sc.n_vertices
-    if n < d + 1:
-        raise ValueError(f"need at least {d + 1} vertices for the cyclic comparison, got {n}")
+    d, n = 2 * k + 2, sc.n_vertices
+    h_cyc = _cyclic_h(d, n)
     hypotheses = check_ubc_hypotheses(sc, "theorem")
 
-    h_cyc = HVector(cyclic_h(d, n, i) for i in range(d + 1))
     f_here, f_cyc = sc.f_vector(), f_from_h(h_cyc)
-    conclusions = [
-        Inequality(
-            f"f_{i} <= f_{i}(C_{d}({n}))", f_here[i], f_cyc[i], f_here[i] <= f_cyc[i]
-        )
-        for i in range(1, 2 * k + 2)
-    ]
     sh_here, sh_cyc = short_h_from_f(f_here), short_h_from_f(f_cyc)
-    conclusions.extend(
-        Inequality(
-            f"short_h_{i} <= short_h_{i}(C_{d}({n}))",
-            sh_here[i],
-            sh_cyc[i],
-            sh_here[i] <= sh_cyc[i],
-        )
-        for i in range(0, k + 2)
+    conclusions = (
+        _cyclic_rows("f", f_here, f_cyc, range(1, 2 * k + 2), d, n)
+        + _cyclic_rows("short_h", sh_here, sh_cyc, range(k + 2), d, n)
+        + _cyclic_rows("h", h_from_f(f_here), h_cyc, range(k + 2), d, n, binding=False)
     )
-    conclusions += _h_rows(h_from_f(f_here), d, n, k + 2, binding=False)
-    return VerificationReport("ubc", hypotheses, tuple(conclusions))
+    return VerificationReport("ubc", hypotheses, conclusions)
 
 
 def check_lemma_hh(sc: SimplicialComplex) -> VerificationReport:
@@ -247,10 +229,8 @@ def check_lemma_hh(sc: SimplicialComplex) -> VerificationReport:
     if dim < 2 or dim % 2:
         raise ValueError(f"need an even dimension 2k with k >= 1, got dimension {dim}")
     k = dim // 2
-    r = sc.n_vertices
-    d = 2 * k + 1
-    if r < d + 1:
-        raise ValueError(f"need at least {d + 1} vertices for the cyclic comparison, got {r}")
+    d, n = 2 * k + 1, sc.n_vertices
+    h_cyc = _cyclic_h(d, n)
 
     flag, orientable, wit = is_homology_manifold(sc)
     hyp_manifold = Hypothesis(
@@ -276,21 +256,17 @@ def check_lemma_hh(sc: SimplicialComplex) -> VerificationReport:
         "chi = 2, or orientable with the middle Betti bound", alt_status, alt_reason
     )
 
-    conclusions = _h_rows(h_from_f(sc.f_vector()), d, r, k + 2)
-    return VerificationReport("lemma-hh", (hyp_manifold, hyp_alt), tuple(conclusions))
+    conclusions = _cyclic_rows("h", h_from_f(sc.f_vector()), h_cyc, range(k + 2), d, n)
+    return VerificationReport("lemma-hh", (hyp_manifold, hyp_alt), conclusions)
 
 
 def check_sphere_ubc(sc: SimplicialComplex) -> VerificationReport:
     """h-vector upper bound for rational homology spheres:
     h_i <= h_i(cyclic d-polytope on the same vertices) for i = 0..d-1."""
-    d = sc.dim + 1
-    n = sc.n_vertices
-    hypotheses = [
-        Hypothesis("complex is a rational homology sphere", is_homology_sphere(sc))
-    ]
-    conclusions: tuple[Inequality, ...]
+    d, n = sc.dim + 1, sc.n_vertices
+    hypotheses = [Hypothesis("complex is a rational homology sphere", is_homology_sphere(sc))]
     if d >= 2 and n >= d + 1:
-        conclusions = tuple(_h_rows(h_from_f(sc.f_vector()), d, n, d))
+        conclusions = _cyclic_rows("h", h_from_f(sc.f_vector()), _cyclic_h(d, n), range(d), d, n)
     else:
         hypotheses.append(
             Hypothesis(

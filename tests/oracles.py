@@ -17,6 +17,8 @@ taken from ``brute_force_betti``.
 ``vertex_link_buchsbaum`` are the classifiers one condition at a time, in
 the same way: every link rebuilt by ``scan_link``, its face counts from
 ``brute_force_f_vector`` and its homology from ``brute_force_betti``.
+``pseudomanifold_by_definition`` counts the ridges of every facet and
+groups facets and vertices by comparing every pair.
 """
 
 from __future__ import annotations
@@ -347,14 +349,62 @@ def vertex_link_buchsbaum(sc, cohen_macaulay=reisner_cohen_macaulay):
     return True, None
 
 
+def _count_groups(items, adjacent) -> int:
+    """Classes of items under the transitive closure of adjacent, found by
+    a search that tests every pair."""
+    unseen, groups = list(items), 0
+    while unseen:
+        groups += 1
+        stack = [unseen.pop()]
+        while stack:
+            item = stack.pop()
+            near = [other for other in unseen if adjacent(item, other)]
+            unseen = [other for other in unseen if other not in near]
+            stack.extend(near)
+    return groups
+
+
+def pseudomanifold_by_definition(sc):
+    """is_pseudomanifold's flag and witness: None for an impure complex;
+    in dimension 0, exactly two vertices; otherwise the first sorted
+    (d-1)-subset of a facet that does not lie in exactly two facets, then
+    the groups of facets linked through shared ridges against the
+    components of the vertex graph."""
+    from ubckit import Witness
+
+    if not sc.is_pure:
+        return None, Witness(None, "complex is not pure")
+    d, n = sc.dim, len(sc.vertices)
+    if d == 0 and n != 2:
+        return False, Witness(None, f"a 0-pseudomanifold has exactly 2 vertices, found {n}")
+    if d <= 0:
+        return True, None
+    owners: dict[tuple[int, ...], int] = {}
+    for facet in sc.facets:
+        for ridge in combinations(facet, d):
+            owners[ridge] = owners.get(ridge, 0) + 1
+    for ridge in sorted(owners):
+        if owners[ridge] != 2:
+            return False, Witness(ridge, f"ridge lies in {owners[ridge]} facets, expected exactly 2")
+    facet_groups = _count_groups(sc.facets, lambda f, g: len(set(f) & set(g)) == d)
+    components = _count_groups(sc.vertices, lambda u, v: any({u, v} <= set(f) for f in sc.facets))
+    if facet_groups != components:
+        return False, Witness(
+            None,
+            "facets are not ridge-connected within each component "
+            f"({facet_groups} facet groups vs {components} components)",
+        )
+    return True, None
+
+
 def classify_by_definition(sc):
     """classify as six separate classifiers, each walking every link it
     needs: Euler characteristics for (semi-)Eulerian, a sphere test per face
     for homology manifold, Reisner for Cohen-Macaulay and per vertex link
-    for Buchsbaum.  Orientable means the unreduced top Betti number equals
-    the number of components.  The pseudomanifold flag and witness come
-    from the library, which counts ridges and reads no link."""
-    from ubckit import ClassificationReport, Witness, is_pseudomanifold
+    for Buchsbaum, and ridge counts for pseudomanifold
+    (:func:`pseudomanifold_by_definition`).  Orientable means the unreduced
+    top Betti number equals the number of components."""
+    from ubckit import ClassificationReport, Witness
 
     pure, d = sc.is_pure, sc.dim
     b = brute_force_betti(sc.facets)  # b[i + 1] is the reduced b_i
@@ -373,7 +423,7 @@ def classify_by_definition(sc):
         eul, semi = flags["eulerian"], flags["semi_eulerian"]
     else:
         eul = semi = hm = None
-    pm, _, pm_w = is_pseudomanifold(sc)
+    pm, pm_w = pseudomanifold_by_definition(sc)
     if pm is False:
         witnesses["pseudomanifold"] = pm_w
     components = b[1] + 1 if d >= 0 else 0

@@ -127,6 +127,14 @@ CYCLES_2 = disjoint_union(boundary_simplex(2), boundary_simplex(2))
 @example(build_complex([[0], [1], [2]]))
 # not Buchsbaum: vertex 0's link passes is_buchsbaum's probe, vertex 7's fails
 @example(suspension(torus_7()))
+# fewer than two vertices: is_buchsbaum has no second vertex to stop at
+@example(build_complex([[0]]))
+@example(build_complex([[]]))
+# pseudomanifold failures: an edge in three triangles, boundary edges of a
+# disc, and two facet groups in one component
+@example(build_complex([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
+@example(build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3]]))
+@example(wedge(cross_polytope(3), cross_polytope(3)))
 def test_classifiers_match_the_definitions(sc):
     assert classify(sc) == classify_by_definition(sc)
     assert is_cohen_macaulay(sc) == reisner_cohen_macaulay(sc)
@@ -142,13 +150,30 @@ def test_classifiers_match_the_definitions(sc):
         suspension(torus_7()),
         build_complex(gale_facets(6, 10).facets[1:]),
         cone(cross_polytope(5)),
+        build_complex(
+            [{1: 10, 10: 1}.get(v, v) for v in f]
+            for f in disjoint_union(cross_polytope(5), join(cross_polytope(2), torus_7())).facets
+        ),
+        wedge(cross_polytope(4), cross_polytope(4)),
     ],
-    ids=["join(T,T)", "join(RP2,T)", "join(T,RP2)", "susp(T)", "C(6,10)-facet", "cone(cp5)"],
+    ids=[
+        "join(T,T)",
+        "join(RP2,T)",
+        "join(T,RP2)",
+        "susp(T)",
+        "C(6,10)-facet",
+        "cone(cp5)",
+        "cp5+join(cp2,T)",
+        "wedge(cp4,cp4)",
+    ],
 )
 def test_buchsbaum_matches_is_cohen_macaulay_on_each_vertex_link(sc):
     # the one walk against the vertex links checked one by one: failing at
     # the probed least vertex (the first two), at vertex 7 in the walk after
-    # the probe passed (the next two), and passing on a ball and a cone.
+    # the probe passed (the next two), passing on a ball and a cone, failing
+    # at vertex 1 after the probe passed (vertices 1 and 10 swapped, so 1 is
+    # a join vertex, whose link is a suspended torus), and at a wedge point
+    # whose link fails only at its own empty face.
     # The brute-force Reisner oracle takes minutes on most of these;
     # is_cohen_macaulay is tested against it above
     assert is_buchsbaum(sc) == vertex_link_buchsbaum(sc, is_cohen_macaulay)
