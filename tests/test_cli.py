@@ -172,6 +172,22 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         assert raised.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ubckit")
     assert main(["verify", "ubc", str(tmp_path / "missing.json")]) == 64
+    simplex = tmp_path / "simplex.json"
+    save_complex(simplex, "simplex", build_complex([[0, 1, 2, 3]]))
+    capsys.readouterr()
+    assert main(["verify", "ubc", str(simplex)]) == 64
+    assert capsys.readouterr().err == (
+        "ubckit: error: need at least 5 vertices for the cyclic comparison, got 4\n")
+    assert main(["sweep", "ubc", str(simplex)]) == 64
+    assert capsys.readouterr().err == f"ubckit: {simplex} is not a directory\n"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["sweep", "ubc", str(empty)]) == 64
+    assert capsys.readouterr().err == f"ubckit: no .json facet files in {empty}\n"
+    for spec, message in (("$", "cannot parse generator spec near '$'"),
+                          ("cyclic(4,9", "unbalanced parentheses in generator spec")):
+        assert main(["gen", spec]) == 64
+        assert capsys.readouterr().err == f"ubckit: error: {message}\n"
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "facets": [[0, 0]]}')
     assert main(["invariants", str(bad)]) == 64

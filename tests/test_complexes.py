@@ -328,6 +328,14 @@ def test_relabeled_rejects_a_non_injective_mapping():
     assert moved.vertices == (4, 5, 6, 7)
 
 
+def test_relabeled_rejects_a_mapping_missing_a_vertex():
+    from ubckit import cross_polytope
+
+    with pytest.raises(ValueError) as err:
+        cross_polytope(2).relabeled({0: 5, 2: 6})
+    assert str(err.value) == "mapping is missing vertices [1, 3]"
+
+
 def test_concurrent_first_lattice_access():
     sc = SimplicialComplex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 3, 4]])
     results = []

@@ -59,6 +59,10 @@ def test_cone_and_suspension():
     assert suspension(triangle).f_vector() == (1, 5, 9, 6)
     # suspending the empty complex gives two isolated points
     assert suspension(build_complex([[]])).f_vector() == (1, 2)
+    assert cone(triangle, 7).vertices == (0, 1, 2, 7)
+    with pytest.raises(ValueError) as err:
+        cone(triangle, 1)
+    assert str(err.value) == "apex 1 already occurs in the complex"
 
 
 def test_join_of_triangles_is_a_three_sphere():
@@ -73,6 +77,10 @@ def test_wedge_counts():
     assert len(sc.facets) == 10
     with pytest.raises(ValueError, match="not present"):
         wedge(boundary_simplex(2), boundary_simplex(2), 0, 99)
+    for pair in ((build_complex([[]]), boundary_simplex(2)), (boundary_simplex(2), build_complex([[]]))):
+        with pytest.raises(ValueError) as err:
+            wedge(*pair)
+        assert str(err.value) == "wedge needs complexes with at least one vertex each"
 
 
 def test_wedge_at_chosen_vertices():
@@ -89,9 +97,24 @@ def test_disjoint_union():
     assert betti_numbers(sc)[0] == 1
 
 
+def test_combinators_move_the_second_complex_past_the_first():
+    # the second complex's ids are shifted by one more than the first's
+    # largest vertex, or by 0 when the first complex has no vertex
+    a = build_complex([[0, 5]])
+    b = build_complex([[1, 2]])
+    assert join(a, b).facets == ((0, 5, 7, 8),)
+    assert disjoint_union(a, b).facets == ((0, 5), (7, 8))
+    assert wedge(a, b).facets == ((0, 5), (0, 8))
+    assert wedge(a, b, 5, 2).facets == ((0, 5), (5, 7))
+    empty = build_complex([[]])
+    assert join(empty, b).facets == disjoint_union(empty, b).facets == ((1, 2),)
+
+
 def test_parse_spec_flat_and_nested():
     assert parse_spec("cyclic 4 9") == ("cyclic", 4, 9)
     assert parse_spec("cyclic(4, 9)") == ("cyclic", 4, 9)
+    assert parse_spec("cyclic 4 9 ") == ("cyclic", 4, 9)  # a whitespace tail is no token
+    assert parse_spec(" cyclic(4,9)\n") == ("cyclic", 4, 9)
     assert parse_spec("torus-7") == ("torus-7",)
     assert parse_spec("suspension(torus-7)") == ("suspension", ("torus-7",))
     assert parse_spec("wedge(boundary-simplex(4), boundary-simplex(4), 0, 0)") == (
@@ -184,6 +207,11 @@ def test_generate_unknown_or_bad_arity():
         ("wedge(3, torus-7, 0, 0)", "integer given where a complex-valued spec was expected"),
         ("wedge(torus-7, torus-7, 0, 99)", "vertex 99 not present in the second complex"),
         ("cone(cyclic(4))", "cyclic takes exactly 2 integer parameter(s)"),
+        ("$", "cannot parse generator spec near '$'"),
+        ("cyclic 4 $9", "cannot parse generator spec near ' $9'"),
+        ("cone()", "expected a generator name, got ')'"),
+        ("cyclic(4,9", "unbalanced parentheses in generator spec"),
+        ("cyclic(4 9)", "unexpected token '9' in generator spec"),
     ],
 )
 def test_generator_argument_errors_are_pinned(spec, message):

@@ -221,6 +221,9 @@ def test_pseudomanifold():
     flag, orientable, witness = is_pseudomanifold(CORPUS["solid-triangle"])
     assert flag is False  # boundary edges lie in one facet
     assert is_pseudomanifold(CORPUS["two-spheres"])[0] is True  # per component
+    flag, orientable, witness = is_pseudomanifold(build_complex([[0, 1, 2], [2, 3]]))
+    assert (flag, orientable) == (None, None)
+    assert (witness.face, witness.reason) == (None, "complex is not pure")
 
 
 def test_betti_bound_condition():

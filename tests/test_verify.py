@@ -5,6 +5,7 @@ import pytest
 from corpus_data import CORPUS, EXTRAS
 from ubckit import (
     boundary_simplex,
+    build_complex,
     check_dehn_sommerville,
     check_lemma_hh,
     check_lower_bounds,
@@ -133,6 +134,15 @@ def test_lemma_torus_vacuous_failure():
     assert h2[0].left == 10 and h2[0].right == 4 and not h2[0].holds
     doc = report.to_json_dict()
     assert doc["conclusions_vacuous"] is True
+
+
+def test_lemma_on_a_non_manifold_leaves_the_second_hypothesis_unevaluated():
+    bowtie = build_complex([[0, 1, 2], [0, 3, 4]])  # two triangles sharing vertex 0
+    report = check_lemma_hh(bowtie)
+    assert report.overall == "hypotheses-not-met"
+    manifold, alternative = report.hypotheses
+    assert manifold.status is False
+    assert (alternative.status, alternative.witness) == (None, "not evaluated: not a homology manifold")
 
 
 def test_lemma_dimension_guards():
