@@ -83,13 +83,15 @@ def projective_plane_6() -> SimplicialComplex:
     return sc
 
 
-def _shift(sc: SimplicialComplex, offset: int) -> SimplicialComplex:
-    return sc.relabeled({v: v + offset for v in sc.vertices})
-
-
 def _fresh_ids(sc: SimplicialComplex, count: int) -> list[int]:
     start = max(sc.vertices) + 1 if sc.vertices else 0
     return list(range(start, start + count))
+
+
+def _past(a: SimplicialComplex, b: SimplicialComplex) -> dict[int, int]:
+    """b's vertices moved past a's: v to v plus a's first fresh id."""
+    offset = _fresh_ids(a, 1)[0]
+    return {v: v + offset for v in b.vertices}
 
 
 def cone(sc: SimplicialComplex, apex: int | None = None) -> SimplicialComplex:
@@ -110,15 +112,12 @@ def suspension(sc: SimplicialComplex) -> SimplicialComplex:
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join on disjoint vertex sets; b is relabeled past a."""
-    offset = max(a.vertices) + 1 if a.vertices else 0
-    b2 = _shift(b, offset)
+    b2 = b.relabeled(_past(a, b))
     return SimplicialComplex(fa + fb for fa in a.facets for fb in b2.facets)
 
 
 def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    offset = max(a.vertices) + 1 if a.vertices else 0
-    b2 = _shift(b, offset)
-    return SimplicialComplex(a.facets + b2.facets)
+    return SimplicialComplex(a.facets + b.relabeled(_past(a, b)).facets)
 
 
 def wedge(
@@ -139,31 +138,23 @@ def wedge(
         raise ValueError(f"vertex {vertex_a} not present in the first complex")
     if vertex_b not in b.vertices:
         raise ValueError(f"vertex {vertex_b} not present in the second complex")
-    offset = max(a.vertices) + 1
-    mapping = {v: v + offset for v in b.vertices}
+    mapping = _past(a, b)
     mapping[vertex_b] = vertex_a
-    b2 = b.relabeled(mapping)
-    return SimplicialComplex(a.facets + b2.facets)
+    return SimplicialComplex(a.facets + b.relabeled(mapping).facets)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_-]*)|(?P<sym>[(),]))")
+# "bad" takes any other character; a whitespace tail matches nothing
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_-]*)|(?P<sym>[(),])|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse generator spec near {text[pos:]!r}")
-            break
-        pos = m.end()
-        for kind in ("int", "name", "sym"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ValueError(f"cannot parse generator spec near {text[m.start():]!r}")
+        tokens.append((m.lastgroup, m[m.lastgroup]))
     return tokens
 
 

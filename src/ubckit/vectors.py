@@ -5,9 +5,11 @@ rationals; no floating point is used anywhere.  A (d-1)-dimensional complex
 has an f-vector (f_-1, f_0, ..., f_{d-1}) with f_-1 = 1, an h-vector
 (h_0, ..., h_d) obtained by the standard binomial transform, and a short
 h-vector (sh_0, ..., sh_{d-1}) equal to the vertexwise sum of the h-vectors
-of all vertex links.  The vector types and :func:`binomial` are defined in
-:mod:`ubckit._exact`, which complexes use without the transforms, and are
-bound here, their public home.
+of all vertex links.  Each j-face lies in the links of its j+1 vertices, so
+sum_v f_{j-1}(lk v) = (j+1) f_j, and the short h-vector is the h-transform
+of those weighted face counts.  The vector types and :func:`binomial` are
+defined in :mod:`ubckit._exact`, which complexes use without the
+transforms, and are bound here, their public home.
 """
 
 from __future__ import annotations
@@ -21,37 +23,35 @@ if TYPE_CHECKING:  # fractions (and decimal with it) loads only where a Fraction
     from fractions import Fraction
 
 
+def _transform(v, sign: int) -> list[int]:
+    """w_i = sum_{j=0..i} sign^(i-j) C(d-j, d-i) v_j with d = len(v) - 1: the
+    h-transform for sign -1 and its inverse for sign 1."""
+    d = len(v) - 1
+    return [
+        sum(sign ** (i - j) * binomial(d - j, d - i) * v[j] for j in range(i + 1))
+        for i in range(d + 1)
+    ]
+
+
 def h_from_f(f: FVector) -> HVector:
     """h_i = sum_{j=0..i} (-1)^(i-j) C(d-j, d-i) f_{j-1}."""
-    d = f.d
-    return HVector(
-        sum((-1) ** (i - j) * binomial(d - j, d - i) * f[j - 1] for j in range(i + 1))
-        for i in range(d + 1)
-    )
+    return HVector(_transform(f.entries, -1))
 
 
 def f_from_h(h: HVector) -> FVector:
     """Inverse transform: f_{j-1} = sum_{i=0..j} C(d-i, d-j) h_i."""
-    d = h.d
-    return FVector(
-        sum(binomial(d - i, d - j) * h[i] for i in range(j + 1)) for j in range(d + 1)
-    )
+    return FVector(_transform(h.entries, 1))
 
 
 def short_h_from_f(f: FVector) -> ShortHVector:
     """sh_i = sum_{j=0..i} (-1)^(i-j) (j+1) C(d-1-j, d-1-i) f_j.
 
-    Purely arithmetic; agrees with :func:`short_h_from_links` on every pure
-    complex.
+    Each j-face lies in the links of its j+1 vertices, so the vertex links'
+    f-vectors sum to sum_v f_{j-1}(lk v) = (j+1) f_j, and sh is the
+    h-transform of that sum.  Purely arithmetic; agrees with
+    :func:`short_h_from_links` on every pure complex.
     """
-    d = f.d
-    return ShortHVector(
-        sum(
-            (-1) ** (i - j) * (j + 1) * binomial(d - 1 - j, d - 1 - i) * f[j]
-            for j in range(i + 1)
-        )
-        for i in range(d)
-    )
+    return ShortHVector(_transform([(j + 1) * f[j] for j in range(f.d)], -1))
 
 
 def f_from_short_h(sh: ShortHVector) -> FVector:
@@ -61,10 +61,8 @@ def f_from_short_h(sh: ShortHVector) -> FVector:
     complex; a non-integral result is rejected rather than rounded, since it
     signals input that no complex realizes.
     """
-    d = sh.d
     entries = [1]
-    for j in range(d):
-        total = sum(binomial(d - 1 - i, d - 1 - j) * sh[i] for i in range(j + 1))
+    for j, total in enumerate(_transform(sh.entries, 1)):
         if total % (j + 1):
             raise ValueError(
                 f"sum {total} for f_{j} is not divisible by {j + 1}: "
