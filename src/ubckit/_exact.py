@@ -21,7 +21,8 @@ def binomial(a: int, b: int) -> int:
 class _ExactVector:
     """Immutable integer vector addressed by its mathematical index.
 
-    Subclasses fix ``_first_index``; ``vec[i]`` returns the entry with
+    Subclasses fix ``_first_index`` and define ``_check(entries)``, which
+    rejects what their entries cannot be; ``vec[i]`` returns the entry with
     mathematical index i (so an FVector supports ``f[-1]``), which
     deliberately differs from Python's negative indexing.  Entries are
     integers; an integral Fraction is stored as an int, and a float, bool,
@@ -39,9 +40,6 @@ class _ExactVector:
         entries = tuple(map(int, entries))
         self._check(entries)
         self.entries = entries
-
-    def _check(self, entries: tuple[int, ...]) -> None:
-        pass
 
     def __getitem__(self, i: int) -> int:
         pos = i - self._first_index

@@ -1,8 +1,8 @@
 """Named generators for the test-complex corpus plus complex combinators.
 
 The embedded triangulations (the 7-vertex torus and the 6-vertex projective
-plane) are validated by the homology classifiers on first use rather than
-trusted blindly.
+plane) are plain facet lists; the tests pin their homology, so no generator
+loads the homology code.
 
 Generator specs for the command line are parsed by :func:`parse_spec`; both
 the flat form ``cyclic 4 9`` and the nested form
@@ -12,10 +12,8 @@ the flat form ``cyclic 4 9`` and the nested form
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import combinations, product
 
-from ._chains import betti_numbers
 from .complexes import SimplicialComplex
 from .cyclic import _check_spec, cyclic_h, gale_facets
 from .facetfile import MAX_FACES
@@ -48,39 +46,15 @@ _RP2_6_FACETS = (
 )
 
 
-@lru_cache(maxsize=1)
 def torus_7() -> SimplicialComplex:
     """Minimal 7-vertex torus triangulation (14 facets, all 21 edges)."""
-    from .homology import is_homology_manifold  # loaded only to validate embedded data
-
-    sc = SimplicialComplex(_TORUS_7_FACETS)
-    flag, orientable, _ = is_homology_manifold(sc)
-    b = betti_numbers(sc)
-    if not (flag and orientable and b[1] == 2 and b[2] == 1 and sc.euler_characteristic() == 0):
-        raise AssertionError("embedded 7-vertex torus data failed validation")
-    return sc
+    return SimplicialComplex(_TORUS_7_FACETS)
 
 
-@lru_cache(maxsize=1)
 def projective_plane_6() -> SimplicialComplex:
     """Minimal 6-vertex projective plane (10 facets); over the rationals all
     reduced Betti numbers vanish and the complex is Cohen-Macaulay."""
-    from .homology import is_cohen_macaulay, is_homology_manifold
-
-    sc = SimplicialComplex(_RP2_6_FACETS)
-    b = betti_numbers(sc)
-    cm, _ = is_cohen_macaulay(sc)
-    flag, orientable, _ = is_homology_manifold(sc)
-    ok = (
-        sc.euler_characteristic() == 1
-        and all(entry == 0 for entry in b.entries)
-        and cm
-        and flag
-        and orientable is False
-    )
-    if not ok:
-        raise AssertionError("embedded 6-vertex projective plane data failed validation")
-    return sc
+    return SimplicialComplex(_RP2_6_FACETS)
 
 
 def _fresh_ids(sc: SimplicialComplex, count: int) -> list[int]:

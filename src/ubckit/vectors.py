@@ -33,14 +33,22 @@ def _transform(v, sign: int) -> list[int]:
     ]
 
 
+def _entries(v, kind: type) -> tuple[int, ...]:
+    """v's entries.  v must be a kind: each transform would return numbers,
+    not an error, for a vector of another type."""
+    if not isinstance(v, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
+    return v.entries
+
+
 def h_from_f(f: FVector) -> HVector:
     """h_i = sum_{j=0..i} (-1)^(i-j) C(d-j, d-i) f_{j-1}."""
-    return HVector(_transform(f.entries, -1))
+    return HVector(_transform(_entries(f, FVector), -1))
 
 
 def f_from_h(h: HVector) -> FVector:
     """Inverse transform: f_{j-1} = sum_{i=0..j} C(d-i, d-j) h_i."""
-    return FVector(_transform(h.entries, 1))
+    return FVector(_transform(_entries(h, HVector), 1))
 
 
 def short_h_from_f(f: FVector) -> ShortHVector:
@@ -51,7 +59,8 @@ def short_h_from_f(f: FVector) -> ShortHVector:
     h-transform of that sum.  Purely arithmetic; agrees with
     :func:`short_h_from_links` on every pure complex.
     """
-    return ShortHVector(_transform([(j + 1) * f[j] for j in range(f.d)], -1))
+    counts = _entries(f, FVector)[1:]  # f_0 .. f_{d-1}
+    return ShortHVector(_transform([(j + 1) * f_j for j, f_j in enumerate(counts)], -1))
 
 
 def f_from_short_h(sh: ShortHVector) -> FVector:
@@ -62,7 +71,7 @@ def f_from_short_h(sh: ShortHVector) -> FVector:
     signals input that no complex realizes.
     """
     entries = [1]
-    for j, total in enumerate(_transform(sh.entries, 1)):
+    for j, total in enumerate(_transform(_entries(sh, ShortHVector), 1)):
         if total % (j + 1):
             raise ValueError(
                 f"sum {total} for f_{j} is not divisible by {j + 1}: "

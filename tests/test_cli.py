@@ -332,8 +332,8 @@ def test_commands_load_only_what_they_run(tmp_path):
     # classifiers (homology) stay out of invariants and gen cyclic; the
     # vector transforms stay out of classify and gen; verify loads the
     # statements, and the cyclic h-vector only for a statement that compares
-    # with the cyclic polytope; gen loads the generators, and gen torus-7
-    # the classifiers that validate its embedded data; argparse (with
+    # with the cyclic polytope; gen loads the generators and no classifier,
+    # not even for the embedded torus-7; argparse (with
     # gettext) loads only for a command line that is not well-formed
     path = tmp_path / "t7.json"
     save_complex(path, "torus-7", torus_7())
@@ -349,7 +349,7 @@ def test_commands_load_only_what_they_run(tmp_path):
     for statement in ("lemma-hh", "sphere-ubc"):
         assert "ubckit.vectors" in _loaded_after("verify", statement, str(path))
     assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus", "ubckit.cyclic"]
-    assert _loaded_after("gen", "torus-7") == ["ubckit.corpus", "ubckit.cyclic", "ubckit.homology"]
+    assert _loaded_after("gen", "torus-7") == ["ubckit.corpus", "ubckit.cyclic"]
     assert "argparse" in _loaded_after("verify", "nonsense", "x.json")
 
 

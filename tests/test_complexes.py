@@ -106,6 +106,9 @@ def test_equality_is_facet_set_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a != build_complex([[0, 1]])
+    # another type is left to compare itself, and equals no complex
+    assert a.__eq__(((0, 1), (1, 2))) is NotImplemented
+    assert a != ((0, 1), (1, 2)) and a != "a"
 
 
 def test_f_vector_single_vertex():

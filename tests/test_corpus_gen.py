@@ -11,6 +11,7 @@ from ubckit import (
     disjoint_union,
     generate,
     is_cohen_macaulay,
+    is_homology_manifold,
     join,
     parse_spec,
     projective_plane_6,
@@ -42,6 +43,8 @@ def test_torus_embedded_data():
     assert len(sc.facets) == 14
     assert len(sc.faces(1)) == 21  # 2-neighborly: every pair is an edge
     assert betti_numbers(sc).entries == (0, 0, 2, 1)
+    assert sc.euler_characteristic() == 0
+    assert is_homology_manifold(sc)[:2] == (True, True)  # a manifold, orientable
 
 
 def test_projective_plane_embedded_data():
@@ -51,6 +54,7 @@ def test_projective_plane_embedded_data():
     assert sc.euler_characteristic() == 1
     assert all(b == 0 for b in betti_numbers(sc).entries)
     assert is_cohen_macaulay(sc)[0]
+    assert is_homology_manifold(sc)[:2] == (True, False)  # a manifold, not orientable
 
 
 def test_cone_and_suspension():

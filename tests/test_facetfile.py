@@ -17,7 +17,7 @@ from ubckit import (
     save_complex,
 )
 from ubckit.complexes import normalize_face
-from ubckit.facetfile import MAX_FACES, _at_line
+from ubckit.facetfile import MAX_FACES
 
 
 def test_round_trip(tmp_path):
@@ -85,6 +85,56 @@ def test_non_array_facet():
             parse_facet_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a "facets" key in a nested object before the top-level one
+        ('{"name": "x",\n "extra": {"facets": [\n1]},\n\n\n "facets": [[0, 0]]}',
+         "facet #0: face [0, 0] contains a duplicate vertex (line 6)"),
+        # the key spelled with an escape
+        ('{"name": "x",\n "fac\\u0065ts": [\n [0],\n [1, 1]]}',
+         "facet #1: face [1, 1] contains a duplicate vertex (line 4)"),
+        ('{"facets": [[0], {"facets": [1]}, [2]], "name": "x"}', "facet #1 is not an array (line 1)"),
+        (' {\n"name" : "x" , "facets" :\n [ [0] , \n "a" ] }', "facet #1 is not an array (line 4)"),
+    ],
+)
+def test_line_is_that_of_the_top_level_facets_array(text, message):
+    with pytest.raises(FacetFileError) as err:
+        parse_facet_text(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"name":"x","facets":[[0,1,2]],"facets":[[1]]}', '"facets"'),
+        ('{"name":"x","facets":[[0]],"extra":{"a":1,"b":{"c":2,"c":[3]}}}', '"c"'),
+        ('{"name":"x","facets":[[0],{"0":1,"1":2,"0":3}]}', '"0"'),
+        ('{"name":"x","name":"x","facets":[[0]],"facets":[[0]]}', '"name"'),
+        ('{"name":"x","facets":[[0]],"\\u00e9":1,"\u00e9":2}', '"\\u00e9"'),
+    ],
+)
+def test_duplicate_key_is_rejected(tmp_path, capsys, text, key):
+    from ubckit.cli import main
+
+    with pytest.raises(FacetFileError) as err:
+        parse_facet_text(text)
+    assert str(err.value) == f"facet file has a duplicate key {key}"
+    path = tmp_path / "dup.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["invariants", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ubckit: {path}: facet file has a duplicate key {key}\n"
+
+
+def test_byte_order_mark_is_invalid_json():
+    with pytest.raises(FacetFileError) as err:
+        parse_facet_text('\ufeff{"name": "x", "facets": [[0]]}')
+    assert str(err.value) == (
+        "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FacetFileError, match="cannot read"):
         load_complex(tmp_path / "does-not-exist.json")
@@ -148,20 +198,22 @@ def test_parsed_facets_are_normalized_deduplicated_and_absorbed():
     assert sc == SimplicialComplex([[2, 0, 1], [1, 0], [0, 1, 2], [4, 3], [], [3, 4], [5]])
 
 
-def _per_vertex_rules(text):
+def _per_vertex_rules(text, spread):
     """The facets or the error text of the per-vertex loop that checked
-    each vertex with isinstance and then called normalize_face."""
+    each vertex with isinstance and then called normalize_face; facet #idx
+    is on line 4 + idx of a spread document, on line 1 otherwise."""
     faces = []
     for idx, facet in enumerate(json.loads(text)["facets"]):
+        at = f" (line {4 + idx if spread else 1})"
         if not isinstance(facet, list):
-            return f"facet #{idx} is not an array{_at_line(text, idx)}"
+            return f"facet #{idx} is not an array{at}"
         for v in facet:
             if not isinstance(v, int) or isinstance(v, bool):
-                return f"facet #{idx} holds a non-integer vertex {v!r}{_at_line(text, idx)}"
+                return f"facet #{idx} holds a non-integer vertex {v!r}{at}"
         try:
             faces.append(normalize_face(facet))
         except ValueError as e:
-            return f"facet #{idx}: {e}{_at_line(text, idx)}"
+            return f"facet #{idx}: {e}{at}"
     return SimplicialComplex(faces)
 
 
@@ -189,7 +241,7 @@ _ENTRIES = st.one_of(
 def test_facet_checks_match_the_per_vertex_rules(entries, spread):
     # one entry per line when spread, so the line in the message varies
     text = _document(map(json.dumps, entries)) if spread else json.dumps({"name": "x", "facets": entries})
-    expected = _per_vertex_rules(text)
+    expected = _per_vertex_rules(text, spread)
     if isinstance(expected, str):
         with pytest.raises(FacetFileError) as err:
             parse_facet_text(text)

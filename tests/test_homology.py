@@ -114,6 +114,13 @@ def test_betti_numbers_computed_once_per_complex(monkeypatch):
     assert calls == []
 
 
+def test_euler_poincare_self_check_raises_on_inconsistent_counts(monkeypatch):
+    # the self-check raises rather than asserts, so it runs under python -O
+    monkeypatch.setattr(SimplicialComplex, "euler_characteristic", lambda self: 5)
+    with pytest.raises(ArithmeticError, match="^Euler-Poincare identity failed on "):
+        betti_numbers(boundary_simplex(2))
+
+
 def test_homology_binds_the_chain_level_objects():
     for name in ("betti_numbers", "matrix_rank", "boundary_matrix", "BettiVector"):
         assert getattr(homology, name) is getattr(_chains, name)
@@ -303,6 +310,20 @@ def test_classification_report_false_flags_have_witnesses():
         ):
             if doc[flag] is False:
                 assert flag in doc["witnesses"]
+
+
+def test_first_failure_is_the_witness_of_the_first_false_flag():
+    # the torus fails first at the empty face; two disjoint triangles are
+    # Eulerian and fail first as a homology sphere, with no face at fault
+    assert classify(CORPUS["torus-7"]).first_failure == homology.Witness(
+        (), "chi(link) = 0, expected 2 for dimension 2")
+    report = classify(disjoint_union(boundary_simplex(2), boundary_simplex(2)))
+    assert report.eulerian is True and report.homology_sphere is False
+    assert report.first_failure == homology.Witness(
+        None,
+        "reduced Betti numbers [0, 1, 2] (indices -1..1) are not those of a 1-sphere, "
+        "or the link criterion fails",
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS) + sorted(EXTRAS))

@@ -70,6 +70,14 @@ def test_bare_import_reaches_submodules():
     assert run.stdout == "1 verify_ubc\n"
 
 
+def test_a_loaded_submodule_unbound_from_the_package_is_found_again(monkeypatch):
+    # in process: the package attribute is gone, the module stays loaded
+    import ubckit.cyclic
+
+    monkeypatch.delattr(ubckit, "cyclic")
+    assert ubckit.cyclic is sys.modules["ubckit.cyclic"]
+
+
 def test_reports_construct_positionally_and_by_keyword():
     assert Witness((0,), "r") == Witness(face=(0,), reason="r")
     assert Hypothesis("c", True) == Hypothesis(condition="c", status=True)

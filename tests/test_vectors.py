@@ -26,6 +26,7 @@ from ubckit import (
     short_h_from_f,
     short_h_from_links,
 )
+from ubckit import vectors
 
 
 def test_binomial_outside_range_is_zero():
@@ -35,14 +36,19 @@ def test_binomial_outside_range_is_zero():
 
 
 def test_vector_validation():
-    with pytest.raises(ValueError):
-        FVector((2, 3))
-    with pytest.raises(ValueError):
-        FVector((1, -1))
-    with pytest.raises(ValueError):
-        HVector((0, 1))
-    with pytest.raises(ValueError):
-        ShortHVector((-2, 0))
+    for cls, entries, message in [
+        (FVector, (), "an f-vector has at least the f_-1 entry"),
+        (FVector, (2, 3), "f_-1 must be 1, got 2"),
+        (FVector, (1, -1), "face counts must be non-negative: (1, -1)"),
+        (HVector, (), "an h-vector has at least the h_0 entry"),
+        (HVector, (0, 1), "h_0 must be 1, got 0"),
+        (ShortHVector, (-2, 0), "sh_0 counts vertices and must be >= 0: (-2, 0)"),
+        (BettiVector, (), "a Betti vector has at least the b_-1 entry"),
+        (BettiVector, (0, 1, -1), "Betti numbers must be non-negative: (0, 1, -1)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            cls(entries)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("cls", [FVector, HVector, ShortHVector, BettiVector])
@@ -54,6 +60,25 @@ def test_vector_entries_are_exact_integers(cls):
         with pytest.raises(ValueError) as err:
             cls([1, bad, 6])
         assert str(err.value) == f"{cls.__name__} entries must be integers, got {bad!r}"
+
+
+def test_vectors_iterate_measure_and_hash_their_entries():
+    f = FVector((1, 4, 6, 4))
+    assert list(f) == [1, 4, 6, 4] and len(f) == 4 and f.d == 3
+    assert HVector((1, 1, 1, 1)).d == 3 and ShortHVector((4, 4, 4)).d == 3
+    assert BettiVector((0, 0, 2, 1)).dim == 2
+    assert hash(f) == hash(FVector([1, 4, 6, 4])) and {f: "f"}[FVector([1, 4, 6, 4])] == "f"
+    # another type is left to compare itself: an f-vector equals no h-vector
+    assert f.__eq__(4) is NotImplemented and f != 4
+    assert FVector((1, 1)) != HVector((1, 1))
+
+
+def test_beta_integral_cross_check_raises_on_a_mismatch(monkeypatch):
+    # the self-check raises rather than asserts, so it runs under python -O
+    monkeypatch.setattr(vectors, "factorial", lambda n: 2)
+    with pytest.raises(ArithmeticError) as err:
+        beta_integral(0, 1)
+    assert str(err.value) == "beta_integral(0, 1): 1 != 2"
 
 
 def test_mathematical_indexing():
@@ -122,6 +147,21 @@ def test_f_from_short_h_first_entry():
         assert f_from_short_h(sh)[0] == sh[0]
 
 
+@pytest.mark.parametrize(
+    "transform, expected",
+    [(h_from_f, "FVector"), (f_from_h, "HVector"), (short_h_from_f, "FVector"),
+     (f_from_short_h, "ShortHVector")],
+)
+def test_transform_rejects_another_vector_type(transform, expected):
+    # each of these has entries that another transform would accept
+    for wrong in (FVector((1, 1, 1, 1)), HVector((1, 1, 1, 1)), ShortHVector((1, 1, 1)), (1, 1, 1)):
+        if type(wrong).__name__ == expected:
+            continue
+        with pytest.raises(TypeError) as err:
+            transform(wrong)
+        assert str(err.value) == f"expected {expected}, got {type(wrong).__name__}"
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_round_trips_on_corpus(name):
     f = CORPUS[name].f_vector()
@@ -172,6 +212,24 @@ def test_beta_integral_range_check():
         beta_integral(2, 2)
     with pytest.raises(ValueError):
         beta_integral(-1, 2)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (short_h_coefficient, (-1, 0, 0), "indices out of range: k=-1, r=0, i=0"),
+        (short_h_coefficient, (1, 5, 0), "indices out of range: k=1, r=5, i=0"),
+        (short_h_coefficient, (1, 2, 2), "indices out of range: k=1, r=2, i=2"),
+        (short_h_coefficient, (1, 2, -1), "indices out of range: k=1, r=2, i=-1"),
+        (lower_bound_coeff, (4, 1, 2), "need 0 <= l <= i <= d-1, got d=4, i=1, l=2"),
+        (lower_bound_coeff, (4, 4, 0), "need 0 <= l <= i <= d-1, got d=4, i=4, l=0"),
+        (lower_bound_coeff, (4, 1, -1), "need 0 <= l <= i <= d-1, got d=4, i=1, l=-1"),
+    ],
+)
+def test_coefficient_indices_are_range_checked(function, args, message):
+    with pytest.raises(ValueError) as err:
+        function(*args)
+    assert str(err.value) == message
 
 
 def test_short_h_coefficient_signs_alternate():
