@@ -5,9 +5,10 @@ Faces are sorted duplicate-free tuples of non-negative integer vertex ids,
 and the empty face () is a face of every complex.  The empty complex {()}
 is representable; the void complex (no faces at all) is rejected.
 
-Instances are immutable; their only caches are the face lattice and the link
-table.  The lattice is filled one level at a time, each on first use, or
-by a link walk that groups the level anyway
+Instances are immutable; their only caches are the face lattice, the link
+table and the Betti memo slot ``_betti`` (filled by
+:func:`ubckit._chains.betti_numbers`).  The lattice is filled one level at a
+time, each on first use, or by a link walk that groups the level anyway
 (:func:`ubckit.homology._link_records`); a level is a pure function of the
 facets, so each single-assignment write is idempotent and safe under
 concurrent first access.  Links are read off the facets into one table, keyed

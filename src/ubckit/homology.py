@@ -324,11 +324,12 @@ def _pseudomanifold_failure(sc: SimplicialComplex) -> Witness | None:
             return Witness(ridge, f"ridge lies in {len(owners)} facets, expected exactly 2")
 
     facet_groups = _count_classes(range(len(sc.facets)), ridge_count.values())
-    if facet_groups != connected_components(sc):
+    components = connected_components(sc)
+    if facet_groups != components:
         return Witness(
             None,
             "facets are not ridge-connected within each component "
-            f"({facet_groups} facet groups vs {connected_components(sc)} components)",
+            f"({facet_groups} facet groups vs {components} components)",
         )
     return None
 

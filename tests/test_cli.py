@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import atexit
 import contextlib
 import gc
 import importlib.util
@@ -303,6 +304,18 @@ def test_main_leaves_the_heap_unfrozen(tmp_path):
         assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
+def test_main_entry_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    # in process, with the exit-time freeze recorded instead of registered
+    handlers = []
+    monkeypatch.setattr(atexit, "register", handlers.append)
+    monkeypatch.setattr(sys, "argv", ["ubckit", "gen", "cyclic", "4", "8", "-o", str(tmp_path / "c.json")])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main_entry()
+    assert exit_.value.code == main(sys.argv[1:]) == 0
+    assert handlers == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+
+
 _LOADED_AFTER = """
 import contextlib, io, json, sys
 from ubckit.cli import main
@@ -339,23 +352,24 @@ def test_commands_load_only_what_they_run(tmp_path):
     save_complex(path, "torus-7", torus_7())
     sphere = tmp_path / "c48.json"
     save_complex(sphere, "cyclic-4-8", gale_facets(4, 8))
+    with_cyclic = ["ubckit.cyclic", "ubckit.homology", "ubckit.vectors", "ubckit.verify"]
     assert _loaded_after("invariants", str(path)) == ["ubckit.vectors"]
     assert _loaded_after("classify", str(path)) == ["ubckit.homology"]
-    assert _loaded_after("verify", "ubc", str(sphere)) == [
-        "ubckit.cyclic", "ubckit.homology", "ubckit.vectors", "ubckit.verify"]
+    assert _loaded_after("verify", "ubc", str(sphere)) == with_cyclic
+    assert _loaded_after("sweep", "ubc", str(tmp_path)) == with_cyclic
     for statement in ("dehn-sommerville", "lower-bounds"):
         assert _loaded_after("verify", statement, str(sphere)) == [
             "ubckit.homology", "ubckit.vectors", "ubckit.verify"]
     for statement in ("lemma-hh", "sphere-ubc"):
-        assert "ubckit.vectors" in _loaded_after("verify", statement, str(path))
+        assert _loaded_after("verify", statement, str(path)) == with_cyclic
     assert _loaded_after("gen", "cyclic", "4", "8") == ["ubckit.corpus", "ubckit.cyclic"]
     assert _loaded_after("gen", "torus-7") == ["ubckit.corpus", "ubckit.cyclic"]
     assert "argparse" in _loaded_after("verify", "nonsense", "x.json")
 
 
-def _load_bench_module(name):
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+def _load_script(directory, name):
+    path = Path(__file__).resolve().parents[1] / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -364,7 +378,7 @@ def _load_bench_module(name):
 def test_bench_tracer_finds_what_it_wraps():
     # bench/tracer.py wraps betti_numbers in every module that binds it,
     # cli included, and looks each listed name up on its module
-    tracer = _load_bench_module("tracer")
+    tracer = _load_script("bench", "tracer")
     assert cli.betti_numbers is homology.betti_numbers
     missing = []
     for module, names in tracer.WRAPPED.items():
@@ -377,8 +391,38 @@ def test_bench_tracer_finds_what_it_wraps():
     assert missing == []
 
 
+_DOCUMENTED = '''"""Module docstring,
+on two lines."""
+
+# a comment
+import os  # counted
+
+
+class A:
+    """Class docstring."""
+
+    x = """not a docstring"""
+
+    async def f(self):
+        """Function docstring."""
+        return os.sep
+'''
+
+
+def test_ci_report_size_counts_code_lines_and_sums_its_rows():
+    # the code-line rule: no blank, `#` comment or docstring line counts
+    report = _load_script("tools", "ci_report")
+    assert report.code_lines(_DOCUMENTED) == 5
+    header, *rows, total, change = report.size()
+    assert header.split() == ["lines", "code", "file"]
+    assert [row.split()[2] for row in rows] == sorted(p.name for p in Path(_SRC, "ubckit").glob("*.py"))
+    columns = [[int(row.split()[i]) for row in rows] for i in (0, 1)]
+    assert total.split() == [str(sum(columns[0])), str(sum(columns[1])), "total"]
+    assert change.startswith("change against the parent commit: ")
+
+
 def _plain_command_lines():
-    workloads = _load_bench_module("workloads")
+    workloads = _load_script("bench", "workloads")
     for workload in workloads.WORKLOADS:
         for op in workloads.operations(workload):
             yield [arg.replace("{in}", "in").replace("{out}", "out") for arg in op["args"]]
