@@ -724,14 +724,20 @@ def test_sweep_ubc_is_pinned(tmp_path, capsys):
         ("wedge(boundary-simplex(3),boundary-simplex(3))", "classify-wedge-of-2-spheres.json"),
         ([[0, 1, 2], [0, 3, 4]], "classify-bowtie.json"),
         ([[0, 1, 2], [2, 3]], "classify-impure.json"),
+        ([[]], "classify-empty.json"),
+        ([[0]], "classify-point.json"),
+        ([[0], [1]], "classify-two-points.json"),
     ],
-    ids=["torus", "rp2", "suspended-torus", "wedge", "bowtie", "impure"],
+    ids=["torus", "rp2", "suspended-torus", "wedge", "bowtie", "impure", "empty", "point",
+         "two-points"],
 )
 def test_classify_witnesses_are_pinned(tmp_path, capsys, spec, golden):
     # every witness kind: Eulerian failures at the empty face (torus, rp2,
     # wedge), an edge (bowtie) and a vertex (suspended torus); Cohen-Macaulay
     # failures at the empty face (torus) and at vertices; the Buchsbaum
-    # vertex witness; non-orientability (rp2); an impure complex
+    # vertex witness; non-orientability (rp2); an impure complex; the
+    # smallest complexes: orientability not applicable (empty), the sphere
+    # and 0-pseudomanifold witnesses (one point), the 0-sphere (two points)
     if isinstance(spec, str):
         name, sc = generate(spec)
     else:
