@@ -26,7 +26,9 @@ class _ExactVector:
     mathematical index i (so an FVector supports ``f[-1]``), which
     deliberately differs from Python's negative indexing.  Entries are
     integers; an integral Fraction is stored as an int, and a float, bool,
-    string or non-integral rational is rejected rather than truncated.
+    string or non-integral rational is rejected rather than truncated.  A
+    vector compares equal to, and hashes like, the tuple of its entries (it
+    also equals the list of them), and never equals a vector of another type.
     """
 
     __slots__ = ("entries",)
@@ -66,7 +68,7 @@ class _ExactVector:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.entries))
+        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}{self.entries}"

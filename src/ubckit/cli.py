@@ -114,7 +114,7 @@ def _cmd_sweep(args) -> int:
     if not files:
         raise FacetFileError(f"no .json facet files in {directory}")
     verifier = VERIFIERS[args.statement]
-    counts = {"pass": 0, "fail": 0, "hypotheses-not-met": 0, "error": 0}
+    counts = dict.fromkeys(("pass", "fail", "hypotheses-not-met", "error"), 0)  # in summary order
     width = max(len(f.name) for f in files)
     for path in files:
         try:
@@ -129,7 +129,7 @@ def _cmd_sweep(args) -> int:
         else:
             sys.stdout.write(f"{path.name:<{width}}  {outcome}\n")
         counts[outcome] += 1
-    summary = ", ".join(f"{counts[key]} {key}" for key in ("pass", "fail", "hypotheses-not-met", "error"))
+    summary = ", ".join(f"{count} {key}" for key, count in counts.items())
     sys.stdout.write(f"# {args.statement}: {summary} ({len(files)} files)\n")
     worst = max(counts, key=lambda key: (_SEVERITY[key] if counts[key] else -1))
     return {**EXIT_CODES, "error": USAGE_ERROR}[worst] if counts[worst] else 0

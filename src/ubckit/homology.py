@@ -61,6 +61,9 @@ class Witness(NamedTuple):
         }
 
 
+_IMPURE = Witness(None, "complex is not pure")
+
+
 def is_eulerian(sc: SimplicialComplex):
     """Every face link, the empty face included, has the Euler characteristic
     of the sphere of its dimension.  Returns (flag, witness); the flag is
@@ -77,7 +80,7 @@ def _eulerian_condition(sc: SimplicialComplex, include_empty: bool):
     """The first face, top-down, whose link has the wrong chi, with no link
     built (:func:`_link_chi`)."""
     if not sc.is_pure:
-        return None, Witness(None, "complex is not pure")
+        return None, _IMPURE
     d = sc.dim
     for i in range(d - 1, -1, -1):  # a facet's link is the (-1)-sphere
         chi = _link_chi(sc, i)
@@ -222,7 +225,7 @@ def _link_records(sc: SimplicialComplex, lowest: int = 0):
             )
         for face in bad:
             if pure:
-                failed.update(face[:j] + face[j + 1 :] for j in range(len(face)))
+                failed.update(combinations(face, len(face) - 1))
             yield face, groups[face]
 
 
@@ -266,7 +269,7 @@ def is_homology_manifold(sc: SimplicialComplex):
     components.
     """
     if not sc.is_pure:
-        return None, None, Witness(None, "complex is not pure")
+        return None, None, _IMPURE
     for face, facets in _link_records(sc):
         return False, None, Witness(face, _not_a_sphere(sc._interned(facets)))
     return True, _is_orientable(sc) if sc.dim >= 0 else None, None
@@ -295,7 +298,7 @@ def is_pseudomanifold(sc: SimplicialComplex):
     holds.
     """
     if not sc.is_pure:
-        return None, None, Witness(None, "complex is not pure")
+        return None, None, _IMPURE
     wit = _pseudomanifold_failure(sc)
     if wit:
         return False, None, wit
@@ -315,8 +318,7 @@ def _pseudomanifold_failure(sc: SimplicialComplex) -> Witness | None:
 
     ridge_count: dict[Face, list[int]] = {}
     for idx, facet in enumerate(sc.facets):
-        for m in range(len(facet)):
-            ridge = facet[:m] + facet[m + 1 :]
+        for ridge in combinations(facet, d):
             ridge_count.setdefault(ridge, []).append(idx)
     for ridge in sorted(ridge_count):
         owners = ridge_count[ridge]
@@ -430,7 +432,7 @@ def is_buchsbaum(sc: SimplicialComplex):
     be the witness.
     """
     if not sc.is_pure:
-        return False, Witness(None, "complex is not pure")
+        return False, _IMPURE
     if not sc.vertices:
         return True, None
     first = sc.vertices[0]
@@ -447,18 +449,9 @@ def is_buchsbaum(sc: SimplicialComplex):
     return False, Witness((v,), f"link of vertex {v} is not Cohen-Macaulay: {reasons[v]}")
 
 
-_TRISTATE = {True: True, False: False, None: "not-applicable"}
-
-_FLAG_ORDER = (
-    "eulerian",
-    "semi_eulerian",
-    "homology_sphere",
-    "homology_manifold",
-    "orientable",
-    "pseudomanifold",
-    "cohen_macaulay",
-    "buchsbaum",
-)
+def _tristate(flag: bool | None) -> bool | str:
+    """A flag as a report shows it, None (not applicable) as "not-applicable"."""
+    return "not-applicable" if flag is None else flag
 
 
 class ClassificationReport(NamedTuple):
@@ -490,13 +483,16 @@ class ClassificationReport(NamedTuple):
     def to_json_dict(self) -> dict:
         out = {"pure": self.pure}
         for flag in _FLAG_ORDER:
-            out[flag] = _TRISTATE[getattr(self, flag)]
+            out[flag] = _tristate(getattr(self, flag))
         out["witnesses"] = {
             flag: self.witnesses[flag].to_json_dict()
             for flag in _FLAG_ORDER
             if flag in self.witnesses
         }
         return out
+
+
+_FLAG_ORDER = ClassificationReport._fields[1:-1]  # the flags between pure and witnesses
 
 
 def classify(sc: SimplicialComplex) -> ClassificationReport:
@@ -539,33 +535,26 @@ def classify(sc: SimplicialComplex) -> ClassificationReport:
     # a homology sphere is connected, or two points, with b_dim = 1
     orientable = (sphere or _is_orientable(sc)) if (hm or pm) and sc.dim >= 0 else None
 
-    flags = ("eulerian", "semi_eulerian", "homology_manifold", "pseudomanifold",
-             "cohen_macaulay", "buchsbaum")
-    wits = (eul_w, semi_w, hm_w, pm_w, cm_w, bb_w)
-    witnesses = {flag: wit for flag, wit in zip(flags, wits) if wit}
-    if sphere is False:
-        b = betti_numbers(sc)
-        witnesses["homology_sphere"] = Witness(
+    flags = {  # flag: (value, the witness when the value is False)
+        "eulerian": (eul, eul_w),
+        "semi_eulerian": (semi, semi_w),
+        "homology_sphere": (sphere, sphere is False and Witness(
             None,
-            f"reduced Betti numbers {list(b.entries)} (indices -1..{sc.dim}) "
+            f"reduced Betti numbers {list(betti_numbers(sc).entries)} (indices -1..{sc.dim}) "
             f"are not those of a {sc.dim}-sphere, or the link criterion fails",
-        )
-    if orientable is False:
-        witnesses["orientable"] = Witness(
+        )),
+        "homology_manifold": (hm, hm_w),
+        "orientable": (orientable, orientable is False and Witness(
             None,
             f"top Betti number {betti_numbers(sc)[sc.dim]} differs from the "
             f"{connected_components(sc)} connected component(s)",
-        )
-
+        )),
+        "pseudomanifold": (pm, pm_w),
+        "cohen_macaulay": (cm_w is None, cm_w),
+        "buchsbaum": (bb, bb_w),
+    }
     return ClassificationReport(
-        pure=sc.is_pure,
-        eulerian=eul,
-        semi_eulerian=semi,
-        homology_sphere=sphere,
-        homology_manifold=hm,
-        orientable=orientable,
-        pseudomanifold=pm,
-        cohen_macaulay=cm_w is None,
-        buchsbaum=bb,
-        witnesses=witnesses,
+        pure=pure,
+        **{flag: value for flag, (value, _) in flags.items()},
+        witnesses={flag: wit for flag, (_, wit) in flags.items() if wit},
     )

@@ -20,6 +20,7 @@ from .homology import (
     _link_records,
     _middle_betti_bound,
     _not_a_sphere,
+    _tristate,
     _vertex_reasons,
     betti_numbers,
     is_buchsbaum,
@@ -37,8 +38,12 @@ class Hypothesis(NamedTuple):
     witness: str | None = None
 
     def to_json_dict(self) -> dict:
-        status = self.status if self.status is not None else "not-applicable"
-        return {"condition": self.condition, "status": status, "witness": self.witness}
+        return {**self._asdict(), "status": _tristate(self.status)}
+
+
+def _hypothesis(condition: str, flag: bool | None, wit: Witness | None) -> Hypothesis:
+    """A classifier's (flag, witness) as a hypothesis citing the witness's reason."""
+    return Hypothesis(condition, flag, wit.reason if wit is not None else None)
 
 
 class Inequality(NamedTuple):
@@ -162,13 +167,9 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     items: list[Hypothesis] = []
     if mode == "corollary":
         pm, orientable, wit = is_pseudomanifold(sc)
-        ok = bool(pm) and bool(orientable)
-        reason = None
-        if not pm:
-            reason = wit.reason
-        elif not orientable:
-            reason = "pseudomanifold is not orientable"
-        items.append(Hypothesis("complex is an oriented pseudomanifold", ok, reason))
+        if pm and not orientable:
+            pm, wit = False, Witness(None, "pseudomanifold is not orientable")
+        items.append(_hypothesis("complex is an oriented pseudomanifold", pm, wit))
     failures = _vertex_reasons(sc, _link_records(sc, 1), _not_a_manifold)
     chi = _link_chi(sc, 0) if len(failures) < sc.n_vertices else None
     for v in sc.vertices:
@@ -233,11 +234,7 @@ def check_lemma_hh(sc: SimplicialComplex) -> VerificationReport:
     h_cyc = _cyclic_h(d, n)
 
     flag, orientable, wit = is_homology_manifold(sc)
-    hyp_manifold = Hypothesis(
-        "complex is a homology manifold",
-        flag,
-        wit.reason if wit is not None else None,
-    )
+    hyp_manifold = _hypothesis("complex is a homology manifold", flag, wit)
     chi = sc.euler_characteristic()
     if flag:
         b = betti_numbers(sc)
@@ -281,12 +278,7 @@ def check_sphere_ubc(sc: SimplicialComplex) -> VerificationReport:
 
 def check_dehn_sommerville(sc: SimplicialComplex) -> VerificationReport:
     """Palindromicity h_i = h_{d-i} for Eulerian complexes."""
-    eul, wit = is_eulerian(sc)
-    hypotheses = (
-        Hypothesis(
-            "complex is Eulerian", eul, wit.reason if wit is not None else None
-        ),
-    )
+    hypotheses = (_hypothesis("complex is Eulerian", *is_eulerian(sc)),)
     h = h_from_f(sc.f_vector())
     d = sc.dim + 1
     conclusions = tuple(
@@ -301,14 +293,8 @@ def check_lower_bounds(sc: SimplicialComplex) -> VerificationReport:
     (-1)^i chi_i >= 0 for 0 <= i <= floor((d-1)/2)."""
     if not sc.is_pure:
         raise ValueError("lower bounds apply to pure complexes only")
-    bb, wit = is_buchsbaum(sc)
-    hypotheses = (
-        Hypothesis(
-            "complex is Buchsbaum (pure with Cohen-Macaulay vertex links)",
-            bb,
-            wit.reason if wit is not None else None,
-        ),
-    )
+    condition = "complex is Buchsbaum (pure with Cohen-Macaulay vertex links)"
+    hypotheses = (_hypothesis(condition, *is_buchsbaum(sc)),)
     d = sc.dim + 1
     conclusions = []
     for i in range(0, (d - 1) // 2 + 1):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from ubckit import (
     SimplicialComplex,
     boundary_simplex,
@@ -44,6 +46,14 @@ def staircase_product(a, b):
                     path.append(s[i] * width + t[j])
                 facets.append(path)
     return build_complex(facets)
+
+
+def relabelled(draw, facets):
+    """The complex on these facets with its vertex ids permuted by a
+    permutation drawn with draw, a hypothesis composite's argument."""
+    order = draw(st.permutations(sorted({v for f in facets for v in f})))
+    mapping = dict(zip(sorted(order), order))
+    return build_complex([[mapping[v] for v in f] for f in facets])
 
 
 def _corpus() -> dict[str, SimplicialComplex]:

@@ -409,16 +409,38 @@ class A:
 '''
 
 
-def test_ci_report_size_counts_code_lines_and_sums_its_rows():
+def test_ci_report_size_counts_code_lines_and_sums_its_rows(tmp_path, monkeypatch):
     # the code-line rule: no blank, `#` comment or docstring line counts
     report = _load_script("tools", "ci_report")
     assert report.code_lines(_DOCUMENTED) == 5
-    header, *rows, total, change = report.size()
+    header, *rows, total, change, parent = report.size()
     assert header.split() == ["lines", "code", "file"]
     assert [row.split()[2] for row in rows] == sorted(p.name for p in Path(_SRC, "ubckit").glob("*.py"))
     columns = [[int(row.split()[i]) for row in rows] for i in (0, 1)]
     assert total.split() == [str(sum(columns[0])), str(sum(columns[1])), "total"]
     assert change.startswith("change against the parent commit: ")
+    assert parent.startswith("code lines at the parent commit: ")
+    # the parent's code lines, read from git, on a repository of two commits
+    src = tmp_path / "src" / "ubckit"
+    src.mkdir(parents=True)
+    monkeypatch.setattr(report, "ROOT", tmp_path)
+    monkeypatch.setattr(report, "SRC", src)
+
+    def commit(text):
+        (src / "a.py").write_text(text)
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "c"]):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                            "-c", "commit.gpgsign=false", *args], cwd=tmp_path, check=True)
+
+    commit(_DOCUMENTED)
+    assert list(report.size())[-2:] == ["change against the parent commit: (no parent commit)",
+                                        "code lines at the parent commit: (no parent commit)"]
+    commit(_DOCUMENTED + "y = 1\n")
+    (src / "b.py").write_text("z = 2\n")  # not committed: counted now, not at the parent
+    *_, total, change, parent = report.size()
+    assert total.split() == ["17", "7", "total"]
+    assert change == "change against the parent commit: 1 file changed, 1 insertion(+)"
+    assert parent == "code lines at the parent commit: 5 (+2)"
 
 
 def _plain_command_lines():

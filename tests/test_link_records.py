@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus_data import relabelled
 from oracles import (
     _euler_failure,
     brute_force_betti,
@@ -70,13 +71,7 @@ def complexes(draw):
     for _ in range(draw(st.integers(0, 2))):
         if len(facets) > 1:
             facets.pop(draw(st.integers(0, len(facets) - 1)))
-    return _relabelled(draw, facets)
-
-
-def _relabelled(draw, facets):
-    order = draw(st.permutations(sorted({v for f in facets for v in f})))
-    mapping = dict(zip(sorted(order), order))
-    return build_complex([[mapping[v] for v in f] for f in facets])
+    return relabelled(draw, facets)
 
 
 # a cyclic 3-sphere minus a facet: a ball, whose interior faces have sphere
@@ -99,7 +94,7 @@ def cone_links(draw):
     facets = list(sc.facets)
     if draw(st.booleans()):
         facets.append((draw(st.sampled_from(sc.vertices)), sc.n_vertices))
-    return _relabelled(draw, facets)
+    return relabelled(draw, facets)
 
 
 RANDOM = st.integers(1, 4).flatmap(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus_data import staircase_product
+from corpus_data import relabelled, staircase_product
 from oracles import brute_force_betti, brute_force_faces
 from ubckit import (
     boundary_simplex,
@@ -48,12 +48,6 @@ BASES = [
 ]
 
 
-def _relabelled(draw, facets):
-    order = draw(st.permutations(sorted({v for f in facets for v in f})))
-    mapping = dict(zip(sorted(order), order))
-    return build_complex([[mapping[v] for v in f] for f in facets])
-
-
 @st.composite
 def collapsible_or_not(draw):
     """Cones, balls, wedges, joins with an edge and impure complexes, with
@@ -71,7 +65,7 @@ def collapsible_or_not(draw):
     facets = list(sc.facets)
     if draw(st.booleans()):
         facets.append((draw(st.sampled_from(sc.vertices)), sc.vertices[-1] + 1))
-    return _relabelled(draw, facets)
+    return relabelled(draw, facets)
 
 
 def _dominated(facets, v):
@@ -150,7 +144,7 @@ def manifolds(draw):
                 sc = suspension(sc)
             else:
                 sc = join(sc, draw(st.sampled_from(SPHERES[:4])))
-    return sc.facets, _relabelled(draw, list(sc.facets))
+    return sc.facets, relabelled(draw, list(sc.facets))
 
 
 @lru_cache(maxsize=None)

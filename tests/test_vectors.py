@@ -68,6 +68,8 @@ def test_vectors_iterate_measure_and_hash_their_entries():
     assert HVector((1, 1, 1, 1)).d == 3 and ShortHVector((4, 4, 4)).d == 3
     assert BettiVector((0, 0, 2, 1)).dim == 2
     assert hash(f) == hash(FVector([1, 4, 6, 4])) and {f: "f"}[FVector([1, 4, 6, 4])] == "f"
+    # equal to the tuple of its entries, so it hashes like it too
+    assert f == (1, 4, 6, 4) and hash(f) == hash((1, 4, 6, 4)) and f in {(1, 4, 6, 4)}
     # another type is left to compare itself: an f-vector equals no h-vector
     assert f.__eq__(4) is NotImplemented and f != 4
     assert FVector((1, 1)) != HVector((1, 1))

@@ -2,9 +2,10 @@
 
 ``PYTHONPATH=src python tools/ci_report.py never-run``: tier-1 again under a
 stdlib line tracer, then the statements of src/ubckit that no in-process test
-ran; ``size``: lines and code lines of each src/ubckit file, and the change
-against the parent commit; ``ladder``: in-process time of public calls on
-large complexes.  No report has a bound, so a slow runner cannot fail one.
+ran; ``size``: lines and code lines of each src/ubckit file, the change
+against the parent commit and the code lines there; ``ladder``: in-process
+time of public calls on large complexes.  No report has a bound, so a slow
+runner cannot fail one.
 """
 
 import ast
@@ -73,10 +74,18 @@ def size():
     total = (sum(row[0] for row in rows), sum(row[1] for row in rows), "total")
     for lines, code, name in rows + [total]:
         yield f"{lines:6} {code:6}  {name}"
-    diff = subprocess.run(["git", "diff", "--shortstat", "HEAD~1", "--", "src/ubckit"],
-                          cwd=ROOT, capture_output=True, text=True)
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+    diff = git("diff", "--shortstat", "HEAD~1", "--", "src/ubckit")
     yield "change against the parent commit: " + (
         diff.stdout.strip() if diff.returncode == 0 else "(no parent commit)")
+    listing = git("ls-tree", "--name-only", "HEAD~1", "--", "src/ubckit/")
+    parent = sum(code_lines(git("show", f"HEAD~1:{name}").stdout)
+                 for name in listing.stdout.split() if name.endswith(".py"))
+    yield "code lines at the parent commit: " + (
+        f"{parent} ({total[1] - parent:+d})" if listing.returncode == 0 else "(no parent commit)")
 
 
 def ladder():
