@@ -14,8 +14,8 @@ and every other form go through argparse, with unchanged text.
 from __future__ import annotations
 
 import atexit
-import gc
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,7 +33,7 @@ INTERNAL_ERROR = 70  # EX_SOFTWARE in sysexits.h; 64 is EX_USAGE there
 STATEMENTS = ("dehn-sommerville", "lemma-hh", "lower-bounds", "sphere-ubc", "ubc")
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -200,19 +200,13 @@ def _plain_args(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_args(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except _UsageError as e:
-            sys.stderr.write(f"ubckit: error: {e}\n")
-            return USAGE_ERROR
     try:
+        args = _plain_args(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except FacetFileError as e:
         sys.stderr.write(f"ubckit: {e}\n")
         return USAGE_ERROR
-    except ValueError as e:
+    except ValueError as e:  # _UsageError included
         sys.stderr.write(f"ubckit: error: {e}\n")
         return USAGE_ERROR
     except Exception as e:  # never let an internal fault read as exit 1 "fail"
@@ -224,14 +218,25 @@ def main_entry() -> None:
     """Run main() and exit with its code (``python -m ubckit`` and the
     ``ubckit`` script).
 
-    At shutdown the interpreter garbage-collects the whole heap, which took
-    longer than some commands compute.  An atexit handler freezes the heap
-    first, so those collections find nothing to scan; a caller that catches
-    SystemExit keeps an unfrozen heap.  os._exit would skip the stdio flush
-    and the other atexit handlers, so the process still exits normally.
+    After main() returns, the interpreter's teardown (the collections at
+    shutdown, freeing every module and object) takes longer than some
+    commands compute, and no output needs it.  So main_entry runs the atexit
+    handlers, flushes stdout and stderr, and ends the process with
+    os._exit.  It raises SystemExit for the normal exit instead when
+    something waits on that exit: a trace or profile function (a debugger,
+    coverage, cProfile), -i, -X dev, or a flush that fails, which the
+    interpreter then reports itself (a closed pipe exits 120).
     """
-    atexit.register(gc.freeze)  # handlers run last-in first-out: this one last
-    raise SystemExit(main())
+    code = main()
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect or sys.flags.dev_mode:
+        raise SystemExit(code)
+    atexit._run_exitfuncs()  # first, so what the handlers write is flushed too
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, AttributeError):  # a closed pipe, or no stdout at all
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
-import atexit
 import contextlib
 import gc
 import importlib.util
@@ -223,12 +222,19 @@ _FAULTS = {
 }
 
 
+def _child_env():
+    # without PYTHONUNBUFFERED a child's stdout is block-buffered when it is a
+    # pipe, so output that the exit failed to flush would be missing
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def _entry_point(argv, fault=None):
     """stdout, stderr and exit code of python -m ubckit in a child process."""
     cmd = [sys.executable, "-m", "ubckit"] if fault is None else [
         sys.executable, "-c", _PATCHED_ENTRY, *_FAULTS[fault]]
-    run = subprocess.run([*cmd, *argv], capture_output=True, env={**os.environ, "PYTHONPATH": _SRC},
-                         timeout=60)
+    run = subprocess.run([*cmd, *argv], capture_output=True, env=_child_env(), timeout=60)
     return run.stdout, run.stderr, run.returncode
 
 
@@ -240,7 +246,7 @@ def _in_process(argv):
 
 
 def test_entry_point_matches_main_byte_for_byte(tmp_path, monkeypatch):
-    # python -m ubckit runs main_entry, which adds only the exit-time freeze
+    # python -m ubckit runs main_entry, which adds only the exit
     sphere = _gen(tmp_path, "cyclic 4 8", "c48.json")
     st = _gen(tmp_path, "suspension(torus-7)", "st.json")
     sweep = tmp_path / "sweep"
@@ -274,46 +280,83 @@ def test_entry_point_matches_main_byte_for_byte(tmp_path, monkeypatch):
     assert child.read_bytes() == parent.read_bytes()
 
 
-_FREEZE_AT_EXIT = """
-import atexit, gc, sys
-# atexit runs handlers last-in first-out, so this one runs after main_entry's
-atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+# a line from an atexit handler, and a line from the interpreter's teardown,
+# which frees the probe when it clears __main__
+_EXIT_PROBE = """
+import atexit, sys
+class Probe:
+    def __del__(self):
+        sys.stderr.write("torn down\\n")
+probe = Probe()
+atexit.register(print, "atexit handler ran")
 from ubckit.cli import main_entry
-try:
-    main_entry()
-except SystemExit as e:
-    print("exit", e.code, "frozen:", gc.get_freeze_count(), "gc enabled:", gc.isenabled())
+main_entry()
 """
 
 
-def test_entry_point_freezes_the_heap_only_at_exit():
-    run = subprocess.run([sys.executable, "-c", _FREEZE_AT_EXIT, "gen", "boundary-simplex", "2"],
-                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC},
-                         timeout=60)
-    assert run.returncode == 0
-    assert run.stdout.splitlines()[-1] == "exit 0 frozen: 0 gc enabled: True"
-    assert run.stderr == "frozen at exit: True\n"
+def test_entry_point_runs_atexit_handlers_and_flushes_but_skips_the_teardown():
+    # about 20 KB of block-buffered stdout, then the handler's line
+    argv = ["gen", "cyclic", "4", "30"]
+    out, _, _ = _in_process(argv)
+    for flags, teardown in (([], b""), (["-X", "dev"], b"torn down\n")):
+        run = subprocess.run([sys.executable, *flags, "-c", _EXIT_PROBE, *argv], capture_output=True,
+                             env=_child_env(), timeout=60)
+        assert (run.stdout, run.stderr, run.returncode) == (
+            out + b"atexit handler ran\n", teardown, 0), flags
+
+
+def test_entry_point_exits_normally_under_a_profiler_or_the_repl():
+    out, _, _ = _in_process(["gen", "cyclic", "4", "8"])
+    profiled = subprocess.run([sys.executable, "-m", "cProfile", "-m", "ubckit", "gen", "cyclic", "4", "8"],
+                              capture_output=True, env=_child_env(), timeout=60)
+    assert profiled.returncode == 0
+    assert profiled.stdout.startswith(out) and b"function calls" in profiled.stdout[len(out):]
+    repl = subprocess.run([sys.executable, "-i", "-m", "ubckit", "gen", "cyclic", "4", "8"],
+                          input=b"print('in the repl')\n", capture_output=True, env=_child_env(), timeout=60)
+    assert repl.stdout == out + b"in the repl\n"
+
+
+def test_entry_point_leaves_a_failed_flush_to_the_interpreter():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes
+    try:
+        broken = subprocess.run([sys.executable, "-m", "ubckit", "gen", "cyclic", "4", "8"], stdout=write,
+                                stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert broken.returncode == 120  # the interpreter's code for a failed flush at exit
+    assert broken.stderr == (b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                             b"encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    closed = subprocess.run([sys.executable, "-m", "ubckit", "gen", "cyclic", "4", "8"],
+                            stderr=subprocess.PIPE, env=_child_env(), timeout=60,
+                            preexec_fn=lambda: os.close(1))  # sys.stdout is None
+    assert closed.returncode == 70
+    assert closed.stderr == b"ubckit: internal error: AttributeError: 'NoneType' object has no attribute 'write'\n"
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path):
-    # tests call main, never main_entry: a frozen heap would hide objects
-    # from gc.get_objects(), which the link-lifetime test counts
+    # a frozen heap or a disabled collector would hide objects from
+    # gc.get_objects(), which the link-lifetime test counts
     path = _gen(tmp_path, "cyclic 4 8", "c48.json")
     for argv in (["classify", str(path)], ["verify", "nonsense", str(path)]):
         _in_process(argv)
         assert gc.get_freeze_count() == 0 and gc.isenabled()
 
 
-def test_main_entry_exits_with_the_code_of_main(tmp_path, monkeypatch):
-    # in process, with the exit-time freeze recorded instead of registered
-    handlers = []
-    monkeypatch.setattr(atexit, "register", handlers.append)
-    monkeypatch.setattr(sys, "argv", ["ubckit", "gen", "cyclic", "4", "8", "-o", str(tmp_path / "c.json")])
-    with pytest.raises(SystemExit) as exit_:
-        cli.main_entry()
-    assert exit_.value.code == main(sys.argv[1:]) == 0
-    assert handlers == [gc.freeze]
-    assert gc.get_freeze_count() == 0
+def test_main_entry_under_a_profiler_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    # in process, where a fast exit would end pytest: a profile function
+    # makes main_entry raise SystemExit, whatever tracer runs the tests
+    previous = sys.getprofile()
+    for argv, code in ((["gen", "cyclic", "4", "8", "-o", str(tmp_path / "c.json")], 0),
+                       (["verify", "nonsense", "x"], 64)):
+        monkeypatch.setattr(sys, "argv", ["ubckit", *argv])
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main_entry()
+        finally:
+            sys.setprofile(previous)
+        assert exit_.value.code == code
 
 
 _LOADED_AFTER = """
@@ -575,17 +618,22 @@ def test_unreadable_facet_file_names_the_path_once(tmp_path, capsys):
 
 
 def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
+    # a fault in the command, or while the command line is read
     path = _gen(tmp_path, "boundary-simplex 3", "s.json")
 
-    def broken(sc):
+    def broken(*args):
         raise RuntimeError("simulated internal fault")
 
-    monkeypatch.setattr(homology, "classify", broken)
-    capsys.readouterr()
-    assert main(["classify", str(path)]) == 70
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "ubckit: internal error: RuntimeError: simulated internal fault\n"
+    for module, name, argv in ((homology, "classify", ["classify", str(path)]),
+                               (cli, "_plain_args", ["classify", str(path)]),
+                               (cli, "build_parser", ["--bogus"])):
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            assert main(argv) == 70, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ubckit: internal error: RuntimeError: simulated internal fault\n"
 
 
 def test_sweep_continues_past_internal_error(tmp_path, capsys, monkeypatch):
