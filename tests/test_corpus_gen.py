@@ -110,6 +110,7 @@ def test_combinators_move_the_second_complex_past_the_first():
     assert disjoint_union(a, b).facets == ((0, 5), (7, 8))
     assert wedge(a, b).facets == ((0, 5), (0, 8))
     assert wedge(a, b, 5, 2).facets == ((0, 5), (5, 7))
+    assert suspension(a).facets == ((0, 5, 6), (0, 5, 7))
     empty = build_complex([[]])
     assert join(empty, b).facets == disjoint_union(empty, b).facets == ((1, 2),)
 
@@ -216,6 +217,10 @@ def test_generate_unknown_or_bad_arity():
         ("cone()", "expected a generator name, got ')'"),
         ("cyclic(4,9", "unbalanced parentheses in generator spec"),
         ("cyclic(4 9)", "unexpected token '9' in generator spec"),
+        ("", "empty generator spec"),
+        ("cone(", "unexpected end of generator spec"),
+        ("7", "generator spec cannot be a bare integer"),
+        ("cyclic 4 x", "unexpected trailing token 'x' in generator spec"),
     ],
 )
 def test_generator_argument_errors_are_pinned(spec, message):
