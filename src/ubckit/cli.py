@@ -119,15 +119,12 @@ def _cmd_sweep(args) -> int:
     for path in files:
         try:
             _, sc = load_complex(path)
-            outcome = verifier(sc).overall
+            outcome = text = verifier(sc).overall
         except ValueError as e:  # FacetFileError included
-            outcome = "error"
-            sys.stdout.write(f"{path.name:<{width}}  error: {e}\n")
+            outcome, text = "error", f"error: {e}"
         except Exception as e:  # one faulty file must not end the sweep
-            outcome = "error"
-            sys.stdout.write(f"{path.name:<{width}}  error: {_internal(e)}\n")
-        else:
-            sys.stdout.write(f"{path.name:<{width}}  {outcome}\n")
+            outcome, text = "error", f"error: {_internal(e)}"
+        sys.stdout.write(f"{path.name:<{width}}  {text}\n")
         counts[outcome] += 1
     summary = ", ".join(f"{count} {key}" for key, count in counts.items())
     sys.stdout.write(f"# {args.statement}: {summary} ({len(files)} files)\n")

@@ -57,31 +57,28 @@ def projective_plane_6() -> SimplicialComplex:
     return SimplicialComplex(_RP2_6_FACETS)
 
 
-def _fresh_ids(sc: SimplicialComplex, count: int) -> list[int]:
-    start = max(sc.vertices) + 1 if sc.vertices else 0
-    return list(range(start, start + count))
+def _fresh_id(sc: SimplicialComplex) -> int:
+    return max(sc.vertices) + 1 if sc.vertices else 0
 
 
 def _past(a: SimplicialComplex, b: SimplicialComplex) -> dict[int, int]:
     """b's vertices moved past a's: v to v plus a's first fresh id."""
-    offset = _fresh_ids(a, 1)[0]
+    offset = _fresh_id(a)
     return {v: v + offset for v in b.vertices}
 
 
 def cone(sc: SimplicialComplex, apex: int | None = None) -> SimplicialComplex:
     """Join with one new apex vertex."""
     if apex is None:
-        apex = _fresh_ids(sc, 1)[0]
+        apex = _fresh_id(sc)
     elif apex in sc.vertices:
         raise ValueError(f"apex {apex} already occurs in the complex")
     return SimplicialComplex(facet + (apex,) for facet in sc.facets)
 
+
 def suspension(sc: SimplicialComplex) -> SimplicialComplex:
-    """Join with two new apex vertices."""
-    north, south = _fresh_ids(sc, 2)
-    facets = [facet + (north,) for facet in sc.facets]
-    facets += [facet + (south,) for facet in sc.facets]
-    return SimplicialComplex(facets)
+    """The join with the 0-sphere: two new apex vertices, past sc's."""
+    return join(sc, SimplicialComplex([(0,), (1,)]))
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -146,50 +143,43 @@ def parse_spec(text: str):
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty generator spec")
+    cursor = [("end", None), *reversed(tokens)]  # pop() reads the next token
 
-    def parse_call(i: int, depth: int):
-        if i >= len(tokens):
+    def parse_call(depth: int):
+        kind, value = cursor.pop()
+        if kind == "end":
             raise ValueError("unexpected end of generator spec")
-        kind, value = tokens[i]
         if kind == "int":
-            return int(value), i + 1
+            return int(value)
         if kind != "name":
             raise ValueError(f"expected a generator name, got {value!r}")
-        name = value
-        i += 1
         args = []
-        if i < len(tokens) and tokens[i] == ("sym", "("):
+        if cursor[-1] == ("sym", "("):
             if depth == MAX_SPEC_DEPTH:
                 raise ValueError(
                     f"generator spec is nested more than {MAX_SPEC_DEPTH} levels deep"
                 )
-            i += 1
+            cursor.pop()
             while True:
-                arg, i = parse_call(i, depth + 1)
-                args.append(arg)
-                if i >= len(tokens):
+                args.append(parse_call(depth + 1))
+                kind, sep = cursor.pop()
+                if kind == "end":
                     raise ValueError("unbalanced parentheses in generator spec")
-                if tokens[i] == ("sym", ","):
-                    i += 1
-                    continue
-                if tokens[i] == ("sym", ")"):
-                    i += 1
+                if sep == ")":
                     break
-                raise ValueError(f"unexpected token {tokens[i][1]!r} in generator spec")
-        return (name, *args), i
+                if sep != ",":
+                    raise ValueError(f"unexpected token {sep!r} in generator spec")
+        return (value, *args)
 
-    node, i = parse_call(0, 0)
+    node = parse_call(0)
     if isinstance(node, int):
         raise ValueError("generator spec cannot be a bare integer")
-    # flat form: remaining top-level tokens must all be integers
-    name_and_args = list(node)
-    while i < len(tokens):
-        kind, value = tokens[i]
-        if kind != "int":
-            raise ValueError(f"unexpected trailing token {value!r} in generator spec")
-        name_and_args.append(int(value))
-        i += 1
-    return tuple(name_and_args)
+    tail = []  # flat form: the remaining top-level tokens must all be integers
+    while (token := cursor.pop())[0] == "int":
+        tail.append(int(token[1]))
+    if token[0] != "end":
+        raise ValueError(f"unexpected trailing token {token[1]!r} in generator spec")
+    return (*node, *tail)
 
 
 def spec_name(node) -> str:

@@ -141,7 +141,7 @@ def h_from_short_h(sh: ShortHVector, k: int, r: int) -> Fraction:
     from fractions import Fraction
 
     d = 2 * k + 2
-    if sh.d != d:
+    if len(_entries(sh, ShortHVector)) != d:
         raise ValueError(
             f"short h-vector has {sh.d} entries, expected {d} for dimension {2 * k + 1}"
         )

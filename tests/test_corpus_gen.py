@@ -1,6 +1,10 @@
 """Named generators, combinators, and the generator-spec parser."""
 
+from string import ascii_letters, digits
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubckit import (
     betti_numbers,
@@ -153,6 +157,44 @@ def test_parse_spec_depth_limit():
     assert node == ("torus-7",)
     with pytest.raises(ValueError, match="nested more than"):
         parse_spec(nested(MAX_SPEC_DEPTH + 1))
+
+
+# names as the tokenizer reads them: [A-Za-z][A-Za-z0-9_-]*
+_NAMES = st.builds(str.__add__, st.sampled_from(ascii_letters),
+                   st.text(ascii_letters + digits + "_-", max_size=6))
+
+
+def _nodes(depth):
+    """Parsed specs: an int, a bare name or a call with 1-3 arguments."""
+    leaf = st.one_of(st.integers(min_value=0, max_value=10**6), _NAMES.map(lambda name: (name,)))
+    if not depth:
+        return leaf
+    calls = st.tuples(_NAMES, st.lists(_nodes(depth - 1), min_size=1, max_size=3))
+    return st.one_of(leaf, calls.map(lambda call: (call[0], *call[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_NAMES, st.lists(_nodes(3), max_size=4)).map(lambda c: (c[0], *c[1])), st.data())
+def test_parse_spec_reads_back_a_rendered_node(node, data):
+    def space(least=0):
+        return data.draw(st.text(" \t\n\r\f\v", min_size=least, max_size=2))
+
+    def call(name, args):  # name(arg, ...), or the bare name without arguments
+        inner = ",".join(space() + render(arg) + space() for arg in args)
+        return name + (space() + "(" + inner + ")" if args else "")
+
+    def render(n):
+        return str(n) if isinstance(n, int) else call(n[0], n[1:])
+
+    name, *args = node
+    assert parse_spec(space() + render(node) + space()) == node
+    # flat form: any tail of integer arguments may follow the call, space-separated
+    first = len(args)
+    while first and isinstance(args[first - 1], int):
+        first -= 1
+    split = data.draw(st.integers(min_value=first, max_value=len(args)))
+    flat = call(name, args[:split]) + "".join(space(1) + str(a) for a in args[split:])
+    assert parse_spec(space() + flat + space()) == node
 
 
 def test_generate_names_and_complexes():

@@ -152,7 +152,7 @@ def test_f_from_short_h_first_entry():
 @pytest.mark.parametrize(
     "transform, expected",
     [(h_from_f, "FVector"), (f_from_h, "HVector"), (short_h_from_f, "FVector"),
-     (f_from_short_h, "ShortHVector")],
+     (f_from_short_h, "ShortHVector"), (lambda v: h_from_short_h(v, 1, 2), "ShortHVector")],
 )
 def test_transform_rejects_another_vector_type(transform, expected):
     # each of these has entries that another transform would accept

@@ -3,9 +3,9 @@
 ``PYTHONPATH=src python tools/ci_report.py never-run``: tier-1 again under a
 stdlib line tracer, then the statements of src/ubckit that no in-process test
 ran; ``size``: lines and code lines of each src/ubckit file, the change
-against the parent commit and the code lines there; ``ladder``: in-process
-time of public calls on large complexes.  No report has a bound, so a slow
-runner cannot fail one.
+against the parent commit, the code lines there and each module whose code
+lines grew; ``ladder``: in-process time of public calls on large complexes.
+No report has a bound, so a slow runner cannot fail one.
 """
 
 import ast
@@ -82,10 +82,15 @@ def size():
     yield "change against the parent commit: " + (
         diff.stdout.strip() if diff.returncode == 0 else "(no parent commit)")
     listing = git("ls-tree", "--name-only", "HEAD~1", "--", "src/ubckit/")
-    parent = sum(code_lines(git("show", f"HEAD~1:{name}").stdout)
-                 for name in listing.stdout.split() if name.endswith(".py"))
+    parent = {Path(name).name: code_lines(git("show", f"HEAD~1:{name}").stdout)
+              for name in listing.stdout.split() if name.endswith(".py")}
+    before = sum(parent.values())
+    grown = [f"{name} {parent.get(name, 0)} -> {code}" for _, code, name in rows
+             if code > parent.get(name, 0)]
     yield "code lines at the parent commit: " + (
-        f"{parent} ({total[1] - parent:+d})" if listing.returncode == 0 else "(no parent commit)")
+        f"{before} ({total[1] - before:+d})" if listing.returncode == 0 else "(no parent commit)")
+    yield "modules whose code lines grew: " + (
+        (", ".join(grown) or "none") if listing.returncode == 0 else "(no parent commit)")
 
 
 def ladder():
