@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from ._chains import betti_numbers  # invariants needs no link classifier
-from .facetfile import FacetFileError, load_complex, render_facet_text
+from .facetfile import FacetFileError, load_complex, render_facet_text, save_complex
 
 if TYPE_CHECKING:  # argparse loads only where build_parser runs
     import argparse
@@ -86,14 +86,13 @@ def _cmd_gen(args) -> int:
     from .corpus import generate  # only gen needs the generators
 
     name, sc = generate(" ".join(args.spec))
-    text = render_facet_text(name, sc)
-    if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as e:
-            raise FacetFileError(f"cannot write {args.output}: {e.strerror}") from None
-    else:
-        sys.stdout.write(text)
+    if args.output is None:
+        sys.stdout.write(render_facet_text(name, sc))
+        return 0
+    try:
+        save_complex(args.output, name, sc)
+    except OSError as e:
+        raise FacetFileError(f"cannot write {args.output}: {e.strerror}") from None
     return 0
 
 

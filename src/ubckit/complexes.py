@@ -11,9 +11,11 @@ table and the Betti memo slot ``_betti`` (filled by
 time, each on first use, or by a link walk that groups the level anyway
 (:func:`ubckit.homology._link_records`); a level is a pure function of the
 facets, so each single-assignment write is idempotent and safe under
-concurrent first access.  Links are read off the facets into one table, keyed
-by facet tuples and shared with all the links (see :meth:`SimplicialComplex.link`);
-it and the Betti numbers memoized on its complexes live as long as any does.
+concurrent first access.  Links are read off the facets into the complex's
+own link table, keyed by facet tuples (see :meth:`SimplicialComplex.link`); a
+link keeps its own links in a table of its own, so no complex refers back to
+itself, and a complex, its links and their Betti numbers are freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -135,14 +137,11 @@ class SimplicialComplex:
         """All faces of dimension i, sorted; empty outside -1..dim.  A level
         is enumerated on first use, as one set of the (i+1)-subsets of the
         facets, unless a link walk stored it first (:meth:`_level`)."""
-        by_dim = self._lattice()
-        level = by_dim.get(i)
-        if level is None:
-            if not 0 < i < self._dim:
-                return ()
+        level = self._lattice().get(i)
+        if level is None and 0 < i < self._dim:
             subsets = chain.from_iterable(combinations(f, i + 1) for f in self._facets)
-            level = by_dim[i] = tuple(sorted(set(subsets)))  # idempotent write
-        return level
+            level = self._level(i, set(subsets))
+        return level or ()
 
     def _level(self, i: int, faces: Iterable[Face]) -> tuple[Face, ...]:
         """faces(i), sorted from faces, which must be exactly the i-faces,
@@ -184,9 +183,10 @@ class SimplicialComplex:
 
         G is a face exactly when some facet F contains it, so one filter of
         the facets checks G and finds the F, with no face lattice built.
-        lk(G) has the facets F - G and is their one entry in the link table
-        (:meth:`_interned`): equal links are one object, and on lk(F),
-        link(G) is lk(F + G) = lk_{lk F}(G).
+        lk(G) has the facets F - G and is their one entry in this complex's
+        link table (:meth:`_interned`): equal links of its faces are one
+        object.  On lk(F), link(G) equals lk(F + G) = lk_{lk F}(G), and is
+        the entry in lk(F)'s own table.
         """
         return self._face_link(normalize_face(face))
 
@@ -202,20 +202,20 @@ class SimplicialComplex:
         return self._interned([tuple([v for v in f if v not in vs]) for f in facets])
 
     def _interned(self, link_facets: Iterable[Face]) -> SimplicialComplex:
-        """The link table's one complex with these facets (a list or a
-        tuple), which must be the canonical facets of a link; the table is
-        shared with every link.  For its own facets a complex is its own
-        link, and no table is made."""
+        """This complex's one link with these facets (a list or a tuple),
+        which must be the canonical facets of a link of one of its faces.
+        The table is the complex's own, made on the first link; a new link
+        starts with none.  For its own facets a complex is its own link, and
+        no table is made."""
         key = tuple(link_facets)
         if key == self._facets:
             return self
         table = self._links
         if table is None:
-            table = self._links = {self._facets: self}
+            table = self._links = {}
         lk = table.get(key)
         if lk is None:
             lk = table[key] = SimplicialComplex._trusted(key)
-            lk._links = table
         return lk
 
     def skeleton(self, i: int) -> SimplicialComplex:

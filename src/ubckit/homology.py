@@ -5,9 +5,9 @@ in :mod:`ubckit._chains`; its public names are bound here too.
 
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
-first within its dimension).  They share the complex's link table and the
-Betti numbers memoized on every link, and build a link only for a face
-whose link fails.
+first within its dimension).  They build a link only for a face whose link
+fails, as the one entry of its facets in the complex's own link table, and
+read the Betti numbers memoized on that link.
 
 Every link sphere test is one lazy top-down walk, :func:`_link_records`, which
 the manifold, sphere, Cohen-Macaulay, Buchsbaum and UBC vertex-link checks

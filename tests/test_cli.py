@@ -204,6 +204,15 @@ def test_gen_to_unwritable_path_is_a_usage_error(tmp_path, capsys):
     assert f"cannot write {tmp_path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output", [["-o", ""], ["--output="]], ids=["-o ''", "--output="])
+def test_gen_to_an_empty_path_is_a_usage_error_not_stdout(output, tmp_path, monkeypatch, capsys):
+    # the empty path is given, so it is written to, and it names a directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "cyclic", "4", "5", *output]) == 64
+    assert capsys.readouterr() == ("", "ubckit: cannot write : Is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 _SRC = str(Path(cli.__file__).resolve().parents[1])  # the ubckit under test, for children
 # python -m ubckit ARGV, after ubckit.MODULE.NAME is set to the value of EXPR
 # (which may read the module as m); runpy runs ubckit/__main__.py as -m does
@@ -464,6 +473,13 @@ def test_ci_report_size_counts_code_lines_and_sums_its_rows(tmp_path, monkeypatc
     assert change.startswith("change against the parent commit: ")
     assert parent.startswith("code lines at the parent commit: ")
     assert grown.startswith("modules whose code lines grew: ")
+    # compile: one row per module with its code lines, then their sums
+    header, *timed, total = report.compile_times()
+    assert header.split() == ["ms", "code", "file"]
+    assert [row.split()[1:] for row in timed] == [row.split()[1:] for row in rows]
+    ms = [float(row.split()[0]) for row in timed]
+    assert total.split()[1:] == [str(sum(columns[1])), "total"]
+    assert abs(float(total.split()[0]) - sum(ms)) < 0.01 * len(ms)
     # the parent's code lines, read from git, on a repository of two commits
     src = tmp_path / "src" / "ubckit"
     src.mkdir(parents=True)

@@ -135,17 +135,6 @@ def test_parse_spec_flat_and_nested():
     )
 
 
-def test_parse_spec_errors():
-    with pytest.raises(ValueError):
-        parse_spec("")
-    with pytest.raises(ValueError):
-        parse_spec("cyclic(4,")
-    with pytest.raises(ValueError):
-        parse_spec("cyclic 4 x")
-    with pytest.raises(ValueError):
-        parse_spec("7")
-
-
 def test_parse_spec_depth_limit():
     def nested(depth):
         return "cone(" * depth + "torus-7" + ")" * depth
@@ -261,6 +250,7 @@ def test_generate_unknown_or_bad_arity():
         ("cyclic(4 9)", "unexpected token '9' in generator spec"),
         ("", "empty generator spec"),
         ("cone(", "unexpected end of generator spec"),
+        ("cyclic(4,", "unexpected end of generator spec"),
         ("7", "generator spec cannot be a bare integer"),
         ("cyclic 4 x", "unexpected trailing token 'x' in generator spec"),
     ],

@@ -13,9 +13,12 @@ from ubckit import (
     betti_numbers,
     boundary_matrix,
     build_complex,
+    check_lower_bounds,
+    check_ubc_hypotheses,
     classify,
     cone,
     connected_components,
+    cross_polytope,
     disjoint_union,
     boundary_simplex,
     gale_facets,
@@ -26,10 +29,16 @@ from ubckit import (
     is_homology_sphere,
     is_pseudomanifold,
     is_semi_eulerian,
+    join,
     matrix_rank,
+    projective_plane_6,
     satisfies_betti_bound,
+    save_complex,
+    short_h_from_links,
+    suspension,
     torus_7,
     verify_ubc,
+    wedge,
 )
 from ubckit import _chains, cli, homology, verify
 
@@ -159,6 +168,47 @@ def test_links_and_betti_numbers_die_with_their_complex():
     del sc
     gc.collect()
     assert _live_complexes() == before
+
+
+def _cyclic_garbage(run) -> int:
+    """The objects that only the cyclic collector frees after run(), which
+    runs with the collector off."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: join(torus_7(), projective_plane_6()),
+    lambda: wedge(cross_polytope(6), cross_polytope(6)),
+    lambda: cross_polytope(6),
+], ids=["join(torus-7,rp2-6)", "wedge(cp6,cp6)", "cross-polytope-6"])
+def test_a_complex_and_its_links_leave_no_reference_cycle(build):
+    # every link table is its own complex's, so reference counting frees a
+    # complex, its links and their Betti numbers once the complex is deleted
+    def run():
+        sc = build()
+        classify(sc)
+        is_buchsbaum(sc)
+        check_ubc_hypotheses(sc, "corollary")
+        check_lower_bounds(sc)
+        short_h_from_links(sc)
+
+    assert _cyclic_garbage(run) == 0
+
+
+def test_sweep_leaves_no_reference_cycle(tmp_path, capsys):
+    save_complex(tmp_path / "a.json", "suspension(torus-7)", suspension(torus_7()))
+    sphere = gale_facets(4, 8)
+    save_complex(tmp_path / "b.json", "cyclic-4-8-minus-facet", build_complex(sphere.facets[1:]))
+    assert _cyclic_garbage(lambda: cli.main(["sweep", "ubc", str(tmp_path)])) == 0
+    assert capsys.readouterr().out.endswith("(2 files)\n")
 
 
 def test_connected_components():

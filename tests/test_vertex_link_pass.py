@@ -273,8 +273,8 @@ def test_lower_bounds_build_at_most_the_least_vertex_link():
 
 def test_link_table_has_one_key_per_link():
     # only failing links are interned: none on a sphere; on the join of two
-    # tori every link with a torus in it fails, and is_buchsbaum's vertex
-    # links share the table
+    # tori every link with a torus in it fails, and each link keeps its own
+    # links in a table of its own, never the complex's
     sphere = cross_polytope(5)
     classify(sphere)
     assert sphere._links is None
@@ -282,7 +282,8 @@ def test_link_table_has_one_key_per_link():
     classify(sc)
     assert len(sc._links) > 1
     assert all(key == lk.facets for key, lk in sc._links.items())
-    assert all(lk._links is sc._links for lk in sc._links.values())
+    assert sc.facets not in sc._links  # the table holds no complex of its own
+    assert all(lk._links is not sc._links for lk in sc._links.values())
 
 
 def test_a_connected_three_dimensional_link_takes_the_betti_route():

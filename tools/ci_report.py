@@ -4,8 +4,11 @@
 stdlib line tracer, then the statements of src/ubckit that no in-process test
 ran; ``size``: lines and code lines of each src/ubckit file, the change
 against the parent commit, the code lines there and each module whose code
-lines grew; ``ladder``: in-process time of public calls on large complexes.
-No report has a bound, so a slow runner cannot fail one.
+lines grew; ``compile``: the median time of 21 ``compile()`` calls on each
+src/ubckit file, which a process pays for every module it imports when no
+bytecode is cached, and its code lines; ``ladder``: in-process time of public
+calls on large complexes.  No report has a bound, so a slow runner cannot
+fail one.
 """
 
 import ast
@@ -15,6 +18,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from statistics import median
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,6 +97,20 @@ def size():
         (", ".join(grown) or "none") if listing.returncode == 0 else "(no parent commit)")
 
 
+def compile_times():
+    rows = []
+    for path in sorted(SRC.glob("*.py")):
+        text, times = path.read_text(), []
+        for _ in range(21):
+            start = perf_counter()
+            compile(text, str(path), "exec")
+            times.append(perf_counter() - start)
+        rows.append((1e3 * median(times), code_lines(text), path.name))
+    yield "    ms   code  file"
+    for ms, code, name in rows + [(sum(r[0] for r in rows), sum(r[1] for r in rows), "total")]:
+        yield f"{ms:6.2f} {code:6}  {name}"
+
+
 def ladder():
     from ubckit import (SimplicialComplex, betti_numbers, boundary_simplex, build_complex,
                         check_lower_bounds, check_ubc_hypotheses, classify, cone, cross_polytope,
@@ -145,6 +163,8 @@ def ladder():
 REPORTS = {
     "never-run": ("src/ubckit statements that tier-1 never runs (in-process tests only)", never_run),
     "size": ("src/ubckit lines and code lines (no blank, comment or docstring lines)", size),
+    "compile": ("median time of 21 compile() calls and code lines of each src/ubckit file",
+                compile_times),
     "ladder": ("in-process time of public calls, each on a fresh complex but betti_numbers", ladder),
 }
 
