@@ -21,7 +21,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from ._chains import betti_numbers  # invariants needs no link classifier
+from .complexes import betti_numbers  # invariants needs no link classifier
 from .facetfile import FacetFileError, load_complex, render_facet_text, save_complex
 
 if TYPE_CHECKING:  # argparse loads only where build_parser runs

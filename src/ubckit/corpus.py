@@ -144,34 +144,7 @@ def parse_spec(text: str):
     if not tokens:
         raise ValueError("empty generator spec")
     cursor = [("end", None), *reversed(tokens)]  # pop() reads the next token
-
-    def parse_call(depth: int):
-        kind, value = cursor.pop()
-        if kind == "end":
-            raise ValueError("unexpected end of generator spec")
-        if kind == "int":
-            return int(value)
-        if kind != "name":
-            raise ValueError(f"expected a generator name, got {value!r}")
-        args = []
-        if cursor[-1] == ("sym", "("):
-            if depth == MAX_SPEC_DEPTH:
-                raise ValueError(
-                    f"generator spec is nested more than {MAX_SPEC_DEPTH} levels deep"
-                )
-            cursor.pop()
-            while True:
-                args.append(parse_call(depth + 1))
-                kind, sep = cursor.pop()
-                if kind == "end":
-                    raise ValueError("unbalanced parentheses in generator spec")
-                if sep == ")":
-                    break
-                if sep != ",":
-                    raise ValueError(f"unexpected token {sep!r} in generator spec")
-        return (value, *args)
-
-    node = parse_call(0)
+    node = _parse_call(cursor, 0)
     if isinstance(node, int):
         raise ValueError("generator spec cannot be a bare integer")
     tail = []  # flat form: the remaining top-level tokens must all be integers
@@ -180,6 +153,35 @@ def parse_spec(text: str):
     if token[0] != "end":
         raise ValueError(f"unexpected trailing token {token[1]!r} in generator spec")
     return (*node, *tail)
+
+
+def _parse_call(cursor: list, depth: int):
+    """The integer or (name, args...) call that starts at the end of cursor,
+    popped off it; depth counts the calls it is nested in."""
+    kind, value = cursor.pop()
+    if kind == "end":
+        raise ValueError("unexpected end of generator spec")
+    if kind == "int":
+        return int(value)
+    if kind != "name":
+        raise ValueError(f"expected a generator name, got {value!r}")
+    args = []
+    if cursor[-1] == ("sym", "("):
+        if depth == MAX_SPEC_DEPTH:
+            raise ValueError(
+                f"generator spec is nested more than {MAX_SPEC_DEPTH} levels deep"
+            )
+        cursor.pop()
+        while True:
+            args.append(_parse_call(cursor, depth + 1))
+            kind, sep = cursor.pop()
+            if kind == "end":
+                raise ValueError("unbalanced parentheses in generator spec")
+            if sep == ")":
+                break
+            if sep != ",":
+                raise ValueError(f"unexpected token {sep!r} in generator spec")
+    return (value, *args)
 
 
 def spec_name(node) -> str:

@@ -7,8 +7,7 @@ are the comparison benchmark for all upper-bound checks.
 
 from __future__ import annotations
 
-from ._exact import binomial
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, binomial
 
 
 def _check_spec(d: int, n: int) -> None:
@@ -32,24 +31,28 @@ def gale_facets(d: int, n: int) -> SimplicialComplex:
     """
     _check_spec(d, n)
     facets: list[tuple[int, ...]] = []
-
-    def place(start: int, r: int, prefix: tuple[int, ...]) -> None:
-        # vertex start-1 is outside S; r elements remain for start..n-1.
-        # For each first element x, a longer block is lexicographically
-        # smaller; an interior block must leave room for an outside vertex
-        # and the remaining elements, so every branch yields a facet.
-        if r == 0:
-            facets.append(prefix)
-            return
-        for x in range(start, n - r):
-            for length in range(r - r % 2, 0, -2):
-                place(x + length + 1, r - length, prefix + tuple(range(x, x + length)))
-        facets.append(prefix + tuple(range(n - r, n)))
-
     for first in range(d, 0, -1):  # the block containing vertex 0
-        place(first + 1, d - first, tuple(range(first)))
-    place(1, d, ())
+        _place(facets, n, first + 1, d - first, tuple(range(first)))
+    _place(facets, n, 1, d, ())
     return SimplicialComplex._trusted(facets)
+
+
+def _place(facets: list, n: int, start: int, r: int, prefix: tuple[int, ...]) -> None:
+    """Append to facets, in lexicographic order, each facet of the cyclic
+    polytope on 0..n-1 that starts with prefix, has r elements in
+    start..n-1 and leaves vertex start-1 outside.
+
+    For each first element x, a longer block is lexicographically smaller;
+    an interior block must leave room for an outside vertex and the
+    remaining elements, so every branch yields a facet.
+    """
+    if r == 0:
+        facets.append(prefix)
+        return
+    for x in range(start, n - r):
+        for length in range(r - r % 2, 0, -2):
+            _place(facets, n, x + length + 1, r - length, prefix + tuple(range(x, x + length)))
+    facets.append(prefix + tuple(range(n - r, n)))
 
 
 def cyclic_h(d: int, n: int, i: int) -> int:

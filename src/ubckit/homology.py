@@ -1,7 +1,7 @@
 """Link-based classifiers, and the public home of the homology names.
 
 The chain-level half (boundary operators, exact rank, Betti numbers) lives
-in :mod:`ubckit._chains`; its public names are bound here too.
+in :mod:`ubckit.complexes`; its public names are bound here too.
 
 The classifiers scan faces from the top dimension downwards, so a reported
 witness is always the highest-dimensional offending face (lexicographically
@@ -36,15 +36,16 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import NamedTuple
 
-from ._chains import (
+from .complexes import (
     BettiVector,
+    Face,
+    SimplicialComplex,
     _count_classes,
     _strong_core,
     betti_numbers,
     boundary_matrix,
     matrix_rank,
 )
-from .complexes import Face, SimplicialComplex
 
 
 class Witness(NamedTuple):

@@ -8,7 +8,7 @@ h-vector (sh_0, ..., sh_{d-1}) equal to the vertexwise sum of the h-vectors
 of all vertex links.  Each j-face lies in the links of its j+1 vertices, so
 sum_v f_{j-1}(lk v) = (j+1) f_j, and the short h-vector is the h-transform
 of those weighted face counts.  The vector types and :func:`binomial` are
-defined in :mod:`ubckit._exact`, which complexes use without the
+defined in :mod:`ubckit.complexes`, which uses them without the
 transforms, and are bound here, their public home.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import factorial
 from typing import TYPE_CHECKING
 
-from ._exact import FVector, HVector, ShortHVector, binomial
+from .complexes import FVector, HVector, ShortHVector, binomial
 
 if TYPE_CHECKING:  # fractions (and decimal with it) loads only where a Fraction is built
     from fractions import Fraction

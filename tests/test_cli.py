@@ -399,7 +399,15 @@ def test_commands_load_only_what_they_run(tmp_path):
     # statements, and the cyclic h-vector only for a statement that compares
     # with the cyclic polytope; gen loads the generators and no classifier,
     # not even for the embedded torus-7; argparse (with
-    # gettext) loads only for a command line that is not well-formed
+    # gettext) loads only for a command line that is not well-formed; the base
+    # that every command compiles is the complex with its vectors and Betti
+    # numbers, and the facet files
+    base = subprocess.run(
+        [sys.executable, "-c", "import json, sys, ubckit.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC}, timeout=60,
+    )
+    assert [m for m in json.loads(base.stdout) if m.partition(".")[0] == "ubckit"] == [
+        "ubckit", "ubckit.cli", "ubckit.complexes", "ubckit.facetfile"]
     path = tmp_path / "t7.json"
     save_complex(path, "torus-7", torus_7())
     sphere = tmp_path / "c48.json"
@@ -473,13 +481,17 @@ def test_ci_report_size_counts_code_lines_and_sums_its_rows(tmp_path, monkeypatc
     assert change.startswith("change against the parent commit: ")
     assert parent.startswith("code lines at the parent commit: ")
     assert grown.startswith("modules whose code lines grew: ")
-    # compile: one row per module with its code lines, then their sums
-    header, *timed, total = report.compile_times()
+    # compile: one row per module with its code lines, then their sums, then
+    # the sums over the modules that `import ubckit.cli` loads
+    header, *timed, total, base = report.compile_times()
     assert header.split() == ["ms", "code", "file"]
     assert [row.split()[1:] for row in timed] == [row.split()[1:] for row in rows]
     ms = [float(row.split()[0]) for row in timed]
     assert total.split()[1:] == [str(sum(columns[1])), "total"]
     assert abs(float(total.split()[0]) - sum(ms)) < 0.01 * len(ms)
+    loaded = [code for code, row in zip(columns[1], rows)
+              if row.split()[2] in ("__init__.py", "cli.py", "complexes.py", "facetfile.py")]
+    assert base.split()[1:] == [str(sum(loaded)), "cli", "base"]
     # the parent's code lines, read from git, on a repository of two commits
     src = tmp_path / "src" / "ubckit"
     src.mkdir(parents=True)

@@ -22,6 +22,7 @@ from ubckit import (
     disjoint_union,
     boundary_simplex,
     gale_facets,
+    generate,
     is_buchsbaum,
     is_cohen_macaulay,
     is_eulerian,
@@ -31,6 +32,7 @@ from ubckit import (
     is_semi_eulerian,
     join,
     matrix_rank,
+    parse_spec,
     projective_plane_6,
     satisfies_betti_bound,
     save_complex,
@@ -40,7 +42,7 @@ from ubckit import (
     verify_ubc,
     wedge,
 )
-from ubckit import _chains, cli, homology, verify
+from ubckit import cli, complexes, homology, verify
 
 
 def test_matrix_rank_basics():
@@ -108,13 +110,13 @@ def test_betti_invariant_under_relabeling(name):
 
 def test_betti_numbers_computed_once_per_complex(monkeypatch):
     calls = []
-    pivot_lows = _chains._pivot_lows
+    pivot_lows = complexes._pivot_lows
 
     def counting_reducer(columns):
         calls.append(1)
         return pivot_lows(columns)
 
-    monkeypatch.setattr(_chains, "_pivot_lows", counting_reducer)
+    monkeypatch.setattr(complexes, "_pivot_lows", counting_reducer)
     sc = cone(boundary_simplex(3))
     first = betti_numbers(sc)
     assert calls
@@ -132,20 +134,20 @@ def test_euler_poincare_self_check_raises_on_inconsistent_counts(monkeypatch):
 
 def test_homology_binds_the_chain_level_objects():
     for name in ("betti_numbers", "matrix_rank", "boundary_matrix", "BettiVector"):
-        assert getattr(homology, name) is getattr(_chains, name)
+        assert getattr(homology, name) is getattr(complexes, name)
 
 
 def test_betti_memo_is_filled_once_through_every_binding(monkeypatch):
     # homology, verify and cli bind the one betti_numbers, which reads and
     # fills the complex's memo slot: its operators are built once
     built = []
-    boundary_columns = _chains._boundary_columns
+    boundary_columns = complexes._boundary_columns
 
     def recording(sc, i, skip):
         built.append(sc)
         return boundary_columns(sc, i, skip)
 
-    monkeypatch.setattr(_chains, "_boundary_columns", recording)
+    monkeypatch.setattr(complexes, "_boundary_columns", recording)
     sc = build_complex(torus_7().facets)
     first = homology.betti_numbers(sc)
     assert sc._betti is first
@@ -209,6 +211,24 @@ def test_sweep_leaves_no_reference_cycle(tmp_path, capsys):
     save_complex(tmp_path / "b.json", "cyclic-4-8-minus-facet", build_complex(sphere.facets[1:]))
     assert _cyclic_garbage(lambda: cli.main(["sweep", "ubc", str(tmp_path)])) == 0
     assert capsys.readouterr().out.endswith("(2 files)\n")
+
+
+def _spec_error():
+    with pytest.raises(ValueError, match="^unexpected end of generator spec$"):
+        parse_spec("wedge(cyclic(4, 8), suspension(")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: gale_facets(6, 20),
+    lambda: gale_facets(4, 30),
+    lambda: generate("cyclic 4 30"),
+    lambda: parse_spec("wedge(cyclic(4, 8), suspension(torus-7))"),
+    _spec_error,
+], ids=["gale_facets(6,20)", "gale_facets(4,30)", "generate(cyclic 4 30)", "parse_spec", "parse_spec-error"])
+def test_generators_leave_no_reference_cycle(run):
+    # the facet search and the spec parser recurse through module-level
+    # functions, not closures that hold themselves through their cells
+    assert _cyclic_garbage(run) == 0
 
 
 def test_connected_components():

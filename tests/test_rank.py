@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ubckit
 from oracles import brute_force_betti, dense_to_columns, rank_fraction
-from ubckit import _chains
+from ubckit import complexes
 from ubckit import (
     betti_numbers,
     boundary_matrix,
@@ -111,7 +111,7 @@ COMPLEXES = st.one_of(
 def _reductions(sc):
     """betti_numbers(sc), and (columns built, pivots) of each elimination
     in the order betti_numbers runs them."""
-    pivot_lows = _chains._pivot_lows
+    pivot_lows = complexes._pivot_lows
     seen = []
 
     def recording(columns):
@@ -120,7 +120,7 @@ def _reductions(sc):
         return lows
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_chains, "_pivot_lows", recording)
+        mp.setattr(complexes, "_pivot_lows", recording)
         betti = betti_numbers(sc)
     return betti, seen
 

@@ -30,7 +30,7 @@ from ubckit import (
     wedge,
 )
 from ubckit import homology
-from ubckit._chains import _strong_core
+from ubckit.complexes import _strong_core
 
 BALL_3 = build_complex(gale_facets(4, 7).facets[1:])  # a 3-sphere minus a facet
 BASES = [

@@ -26,7 +26,12 @@ from ubckit import (
     short_h_from_f,
     short_h_from_links,
 )
-from ubckit import vectors
+from ubckit import complexes, vectors
+
+
+def test_vectors_binds_the_exact_types_of_complexes():
+    for name in ("FVector", "HVector", "ShortHVector", "binomial"):
+        assert getattr(vectors, name) is getattr(complexes, name)
 
 
 def test_binomial_outside_range_is_zero():

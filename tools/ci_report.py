@@ -6,7 +6,9 @@ ran; ``size``: lines and code lines of each src/ubckit file, the change
 against the parent commit, the code lines there and each module whose code
 lines grew; ``compile``: the median time of 21 ``compile()`` calls on each
 src/ubckit file, which a process pays for every module it imports when no
-bytecode is cached, and its code lines; ``ladder``: in-process time of public
+bytecode is cached, and its code lines, summed over all files and over the
+"cli base", the files that ``import ubckit.cli`` loads, which every CLI
+process compiles before its command runs; ``ladder``: in-process time of public
 calls on large complexes.  No report has a bound, so a slow runner cannot
 fail one.
 """
@@ -14,6 +16,7 @@ fail one.
 import ast
 import contextlib
 import dis
+import os
 import subprocess
 import sys
 import threading
@@ -106,8 +109,17 @@ def compile_times():
             compile(text, str(path), "exec")
             times.append(perf_counter() - start)
         rows.append((1e3 * median(times), code_lines(text), path.name))
+    loaded = subprocess.run([sys.executable, "-c", "import sys, ubckit.cli; print(*sys.modules)"],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout.split()
+    base = {f"{m.partition('.')[2] or '__init__'}.py" for m in loaded if m.partition(".")[0] == "ubckit"}
+
+    def summed(picked, name):
+        return sum(r[0] for r in picked), sum(r[1] for r in picked), name
+
     yield "    ms   code  file"
-    for ms, code, name in rows + [(sum(r[0] for r in rows), sum(r[1] for r in rows), "total")]:
+    for ms, code, name in rows + [summed(rows, "total"),
+                                  summed([r for r in rows if r[2] in base], "cli base")]:
         yield f"{ms:6.2f} {code:6}  {name}"
 
 
@@ -163,7 +175,7 @@ def ladder():
 REPORTS = {
     "never-run": ("src/ubckit statements that tier-1 never runs (in-process tests only)", never_run),
     "size": ("src/ubckit lines and code lines (no blank, comment or docstring lines)", size),
-    "compile": ("median time of 21 compile() calls and code lines of each src/ubckit file",
+    "compile": ("median time of 21 compile() calls and code lines of each src/ubckit file, summed",
                 compile_times),
     "ladder": ("in-process time of public calls, each on a fresh complex but betti_numbers", ladder),
 }
