@@ -423,27 +423,12 @@ def is_buchsbaum(sc: SimplicialComplex):
 
     This is Reisner's condition on the nonempty faces (Schenzel 1981), so
     it is read off one walk of the complex (:func:`_vertex_reasons`) and no
-    vertex link is walked again.  The least vertex's link is probed first,
-    with is_cohen_macaulay.  A complex that fails there, such as the join of
-    two tori, in which every link with a torus in it fails, then costs one
-    vertex link and no walk; the walk would test failing faces on every
-    level before that vertex's last one.  When the probe passes, so does
-    every face containing the least vertex, and the walk skips them; it
-    stops once the second vertex has a reason, as no other vertex can then
-    be the witness.
+    vertex link is walked again.  The walk stops once the least vertex has
+    a reason, as no other vertex can then be the witness.
     """
     if not sc.is_pure:
         return False, _IMPURE
-    if not sc.vertices:
-        return True, None
-    first = sc.vertices[0]
-    flag, inner = is_cohen_macaulay(sc._face_link((first,)))
-    if flag:
-        records = (record for record in _link_records(sc) if record[0][0] != first)
-        stop = sc.vertices[1] if sc.n_vertices > 1 else None
-        reasons = _vertex_reasons(sc, records, _reisner_failure, stop)
-    else:
-        reasons = {first: inner.reason}
+    reasons = _vertex_reasons(sc, _link_records(sc), _reisner_failure, min(sc.vertices, default=None))
     if not reasons:
         return True, None
     v = min(reasons)

@@ -120,9 +120,9 @@ CYCLES_2 = disjoint_union(boundary_simplex(2), boundary_simplex(2))
 @example(CYCLES_2)
 @example(disjoint_union(cross_polytope(3), cross_polytope(3)))
 @example(build_complex([[0], [1], [2]]))
-# not Buchsbaum: vertex 0's link passes is_buchsbaum's probe, vertex 7's fails
+# not Buchsbaum: vertex 0's link passes, so the walk runs on to vertex 7's
 @example(suspension(torus_7()))
-# fewer than two vertices: is_buchsbaum has no second vertex to stop at
+# fewer than two vertices: is_buchsbaum stops at vertex 0, or at no vertex
 @example(build_complex([[0]]))
 @example(build_complex([[]]))
 # pseudomanifold failures: an edge in three triangles, boundary edges of a
@@ -150,6 +150,13 @@ def test_classifiers_match_the_definitions(sc):
             for f in disjoint_union(cross_polytope(5), join(cross_polytope(2), torus_7())).facets
         ),
         wedge(cross_polytope(4), cross_polytope(4)),
+        disjoint_union(
+            wedge(cross_polytope(7), cross_polytope(7)), join(torus_7(), cross_polytope(4))
+        ),
+        build_complex(
+            [{1: 23, 23: 1}.get(v, v) for v in f]
+            for f in disjoint_union(cross_polytope(8), join(torus_7(), cross_polytope(5))).facets
+        ),
     ],
     ids=[
         "join(T,T)",
@@ -160,15 +167,21 @@ def test_classifiers_match_the_definitions(sc):
         "cone(cp5)",
         "cp5+join(cp2,T)",
         "wedge(cp4,cp4)",
+        "wedge(cp7,cp7)+join(T,cp4)",
+        "cp8+join(T,cp5)",
     ],
 )
 def test_buchsbaum_matches_is_cohen_macaulay_on_each_vertex_link(sc):
     # the one walk against the vertex links checked one by one: failing at
-    # the probed least vertex (the first two), at vertex 7 in the walk after
-    # the probe passed (the next two), passing on a ball and a cone, failing
-    # at vertex 1 after the probe passed (vertices 1 and 10 swapped, so 1 is
-    # a join vertex, whose link is a suspended torus), and at a wedge point
-    # whose link fails only at its own empty face.
+    # the least vertex (the first two), at vertex 7 after vertex 0 passed
+    # (the next two), passing on a ball and a cone, failing at vertex 1
+    # after vertex 0 passed (vertices 1 and 10 swapped, so 1 is a join
+    # vertex, whose link is a suspended torus), and at a wedge point whose
+    # link fails only at its own empty face.  The last two fail at vertex 0
+    # or 1 only low in the walk, where one walk costs most against a check
+    # of the least vertex's link alone: at a wedge point of two 6-spheres,
+    # and at vertex 1 beside a passing 7-sphere (vertices 1 and 23 swapped,
+    # so 1 is a cross-polytope-5 vertex of the join).
     # The brute-force Reisner oracle takes minutes on most of these;
     # is_cohen_macaulay is tested against it above
     assert is_buchsbaum(sc) == vertex_link_buchsbaum(sc, is_cohen_macaulay)

@@ -128,7 +128,7 @@ def ladder():
                         check_lower_bounds, check_ubc_hypotheses, classify, cone, cross_polytope,
                         disjoint_union, gale_facets, is_buchsbaum, is_cohen_macaulay, is_eulerian,
                         join, neighborliness, projective_plane_6, short_h_from_links, torus_7,
-                        verify_ubc)
+                        verify_ubc, wedge)
 
     def link_of_vertex_0(sc):  # tests (0,) against the facets, builds no lattice
         return sc.link((0,))
@@ -156,10 +156,14 @@ def ladder():
          build_complex(coned.facets + ((0, coned.n_vertices),)), impure),
         ("cross-polytope 6 + boundary-simplex 2",
          disjoint_union(cross_polytope(6), boundary_simplex(2)), impure),
-        # Buchsbaum failing at vertex 7 after the probe of vertex 0 passed,
-        # and failing at the probed vertex 0
+        # Buchsbaum: the least vertex passes, so the walk runs to its end;
+        # a witness found early in the walk, at the least vertex; and one
+        # found only at the least vertex's own face, in the walk's last level
         ("join(torus-7,rp2-6)", join(torus_7(), projective_plane_6()), (is_buchsbaum,)),
         ("join(rp2-6,torus-7)", join(projective_plane_6(), torus_7()), (is_buchsbaum,)),
+        ("wedge(cp7,cp7) + join(torus-7,cp4)",
+         disjoint_union(wedge(cross_polytope(7), cross_polytope(7)),
+                        join(torus_7(), cross_polytope(4))), (is_buchsbaum,)),
     ]
     for name, sc, row in rows:
         times = []
