@@ -26,14 +26,15 @@ Euler characteristic of every link of one level is a signed count of faces
 
 The two conditions on every vertex link, Cohen-Macaulay for Buchsbaum and
 homology manifold for the UBC hypotheses, are one pass over that walk,
-:func:`_vertex_reasons`, which gives each vertex the reason of its first
-failing face.
+:func:`_vertex_reasons`, which gives each vertex the witness of its first
+failing face; on Reisner's test, the first of them is the Cohen-Macaulay
+witness too, so :func:`classify` reads both off one pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, tee
 from typing import NamedTuple
 
 from .complexes import (
@@ -390,12 +391,13 @@ def is_cohen_macaulay(sc: SimplicialComplex):
     return (False, wit) if wit else (True, None)
 
 
-def _vertex_reasons(sc: SimplicialComplex, records, failure, stop=None) -> dict[int, str]:
-    """{v: the reason of v's first failing face} over records, (F, facets)
+def _vertex_reasons(sc: SimplicialComplex, records, failure, stop=()) -> dict[int, Witness]:
+    """{v: the Witness of v's first failing face} over records, (F, facets)
     pairs of a :func:`_link_records` walk of sc, F failing when
     failure(F, lk F) gives a Witness.  A face is tested only while one of
-    its vertices has no reason yet; the pass stops once the vertex stop, or
-    every vertex, has one.
+    its vertices has no witness yet; the pass stops once a vertex of stop,
+    or every vertex, has one.  No face is skipped before the first failure,
+    so the first value is the walk's first failing face.
 
     The reason a vertex v gets is the one that a walk of lk(v) itself
     gives: the faces of lk(v) are the G for faces G + v of sc, with
@@ -404,16 +406,25 @@ def _vertex_reasons(sc: SimplicialComplex, records, failure, stop=None) -> dict[
     empty face, coming last.  A face the walk leaves out has a sphere link,
     which fails neither the manifold nor the Reisner test.
     """
-    reasons: dict[int, str] = {}
+    reasons: dict[int, Witness] = {}
     for face, facets in records:
-        if any(v not in reasons for v in face):
+        if not reasons or any(v not in reasons for v in face):
             wit = failure(face, sc._interned(facets))
             if wit:
                 for v in face:
-                    reasons.setdefault(v, wit.reason)
-                if stop in reasons or len(reasons) == sc.n_vertices:
+                    reasons.setdefault(v, wit)
+                if not reasons.keys().isdisjoint(stop) or len(reasons) == sc.n_vertices:
                     break
     return reasons
+
+
+def _buchsbaum(reasons: dict[int, Witness]):
+    """(flag, witness) of Buchsbaum from the Reisner witnesses of a pure
+    complex's vertices: the least vertex with one, if any, fails."""
+    if not reasons:
+        return True, None
+    v = min(reasons)
+    return False, Witness((v,), f"link of vertex {v} is not Cohen-Macaulay: {reasons[v].reason}")
 
 
 def is_buchsbaum(sc: SimplicialComplex):
@@ -424,15 +435,11 @@ def is_buchsbaum(sc: SimplicialComplex):
     This is Reisner's condition on the nonempty faces (Schenzel 1981), so
     it is read off one walk of the complex (:func:`_vertex_reasons`) and no
     vertex link is walked again.  The walk stops once the least vertex has
-    a reason, as no other vertex can then be the witness.
+    a witness, as no other vertex can then be the witness.
     """
     if not sc.is_pure:
         return False, _IMPURE
-    reasons = _vertex_reasons(sc, _link_records(sc), _reisner_failure, min(sc.vertices, default=None))
-    if not reasons:
-        return True, None
-    v = min(reasons)
-    return False, Witness((v,), f"link of vertex {v} is not Cohen-Macaulay: {reasons[v]}")
+    return _buchsbaum(_vertex_reasons(sc, _link_records(sc), _reisner_failure, sc.vertices[:1]))
 
 
 def _tristate(flag: bool | None) -> bool | str:
@@ -484,32 +491,36 @@ _FLAG_ORDER = ClassificationReport._fields[1:-1]  # the flags between pure and w
 def classify(sc: SimplicialComplex) -> ClassificationReport:
     """Run every classifier and assemble the report.
 
-    One walk of :func:`_link_records` finds the first face failing each of
-    the manifold, semi-Eulerian and Reisner conditions, and stops once all
-    three are found.  A sphere link has the sphere's chi and passes Reisner,
-    so chi and Betti numbers are computed only off the spheres.  Buchsbaum
-    is Reisner on the nonempty faces (:func:`is_buchsbaum`): it holds when
-    none failed, and otherwise is_buchsbaum runs for its witness.  A
-    homology sphere is orientable with no Betti vector, and the
+    One walk of :func:`_link_records`, split in two, finds the first face
+    failing each of the manifold, semi-Eulerian and Reisner conditions.  A
+    sphere link has the sphere's chi and passes Reisner, so chi and Betti
+    numbers are computed only off the spheres.  One copy of the walk runs
+    to the first chi failure; the other is one Reisner pass
+    (:func:`_vertex_reasons`), whose first witness is the Cohen-Macaulay
+    one and whose least vertex is the Buchsbaum one, as Buchsbaum is
+    Reisner on the nonempty faces (:func:`_buchsbaum`).  On an impure
+    complex the pass alone reads the walk, and it ends at its first
+    failure.  A homology sphere is orientable with no Betti vector, and the
     pseudomanifold check computes no orientation and is skipped on a
     homology manifold of dimension >= 1.
     """
     pure = sc.is_pure
-    hm_w = semi_w = eul_w = cm_w = None
-    for face, facets in _link_records(sc):
+    hm_w = semi_w = None
+    records, cm_records = tee(_link_records(sc)) if pure else ((), _link_records(sc))
+    for face, facets in records:
         link = sc._interned(facets)
-        if pure:
-            hm_w = hm_w or Witness(face, _not_a_sphere(link))
-            semi_w = semi_w or _euler_failure(face, link.euler_characteristic(), link.dim)
-        cm_w = cm_w or _reisner_failure(face, link)
-        if cm_w and (not pure or hm_w and semi_w):
+        hm_w = hm_w or Witness(face, _not_a_sphere(link))
+        if semi_w := _euler_failure(face, link.euler_characteristic(), link.dim):
             break
-    hm = semi = eul = None
+    stop = sc.vertices[:1] if pure else sc.vertices  # impure: its first failure ends it
+    reasons = _vertex_reasons(sc, cm_records, _reisner_failure, stop)
+    cm_w = next(iter(reasons.values()), None)
+    hm = semi = eul = eul_w = None
     if pure:
         eul_w = semi_w or _euler_failure((), sc.euler_characteristic(), sc.dim)
         hm, semi, eul = hm_w is None, semi_w is None, eul_w is None
     sphere = bool(hm) and _is_sphere(sc.facets, sc.dim)
-    bb, bb_w = is_buchsbaum(sc) if cm_w or not pure else (True, None)
+    bb, bb_w = _buchsbaum(reasons) if pure else (False, _IMPURE)
     if not (cm_w or sphere):
         cm_w = _reisner_failure((), sc)
     # a homology manifold of dimension >= 1 is a pseudomanifold: its ridge

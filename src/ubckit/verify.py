@@ -173,7 +173,7 @@ def check_ubc_hypotheses(sc: SimplicialComplex, mode: str = "theorem") -> tuple[
     failures = _vertex_reasons(sc, _link_records(sc, 1), _not_a_manifold)
     chi = _link_chi(sc, 0) if len(failures) < sc.n_vertices else None
     for v in sc.vertices:
-        reason = failures.get(v) or _inadmissible_link(sc, v, chi[(v,)], k, mode)
+        reason = failures[v].reason if v in failures else _inadmissible_link(sc, v, chi[(v,)], k, mode)
         items.append(Hypothesis(f"link of vertex {v} is admissible", reason is None, reason))
     return tuple(items)
 

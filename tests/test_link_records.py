@@ -74,6 +74,9 @@ def complexes(draw):
     return relabelled(draw, facets)
 
 
+# impure: a coned 5-sphere with a pendant edge at vertex 0
+CONED_PENDANT = build_complex(cone(cross_polytope(6)).facets + ((0, 13),))
+
 # a cyclic 3-sphere minus a facet: a ball, whose interior faces have sphere
 # links and whose boundary faces have cone links
 BALL_3 = build_complex(gale_facets(4, 7).facets[1:])
@@ -157,6 +160,7 @@ def test_classifiers_match_the_definitions(sc):
             [{1: 23, 23: 1}.get(v, v) for v in f]
             for f in disjoint_union(cross_polytope(8), join(torus_7(), cross_polytope(5))).facets
         ),
+        CONED_PENDANT,
     ],
     ids=[
         "join(T,T)",
@@ -169,6 +173,7 @@ def test_classifiers_match_the_definitions(sc):
         "wedge(cp4,cp4)",
         "wedge(cp7,cp7)+join(T,cp4)",
         "cp8+join(T,cp5)",
+        "cone(cp6)+pendant",
     ],
 )
 def test_buchsbaum_matches_is_cohen_macaulay_on_each_vertex_link(sc):
@@ -183,8 +188,34 @@ def test_buchsbaum_matches_is_cohen_macaulay_on_each_vertex_link(sc):
     # and at vertex 1 beside a passing 7-sphere (vertices 1 and 23 swapped,
     # so 1 is a cross-polytope-5 vertex of the join).
     # The brute-force Reisner oracle takes minutes on most of these;
-    # is_cohen_macaulay is tested against it above
+    # is_cohen_macaulay is tested against it above.  classify reads both
+    # flags off its one Reisner pass, impure input (the last) included
     assert is_buchsbaum(sc) == vertex_link_buchsbaum(sc, is_cohen_macaulay)
+    report = classify(build_complex(sc.facets))
+    for flag, check in (("buchsbaum", is_buchsbaum), ("cohen_macaulay", is_cohen_macaulay)):
+        assert (getattr(report, flag), report.witnesses.get(flag)) == check(sc)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        suspension(torus_7()),
+        join(projective_plane_6(), torus_7()),
+        wedge(cross_polytope(6), cross_polytope(6)),
+        CONED_PENDANT,
+        cross_polytope(6),
+    ],
+    ids=["susp(T)", "join(RP2,T)", "wedge(cp6,cp6)", "cone(cp6)+pendant", "cp6"],
+)
+def test_classify_groups_each_level_of_a_complex_once(sc, monkeypatch):
+    # every flag reads one walk: no level of any complex is grouped twice,
+    # on failing, impure and sphere inputs
+    real, grouped = homology._link_facets, []
+    monkeypatch.setattr(homology, "_link_facets", lambda c, i: grouped.append((c, i)) or real(c, i))
+    classify(build_complex(sc.facets))
+    pairs = [(id(c), i) for c, i in grouped]
+    twice = sorted({i for n, (key, i) in enumerate(pairs) if (key, i) in pairs[:n]})
+    assert not twice, f"levels grouped twice: {twice}"
 
 
 @settings(max_examples=40, deadline=None)

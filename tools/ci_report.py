@@ -156,14 +156,16 @@ def ladder():
          build_complex(coned.facets + ((0, coned.n_vertices),)), impure),
         ("cross-polytope 6 + boundary-simplex 2",
          disjoint_union(cross_polytope(6), boundary_simplex(2)), impure),
-        # Buchsbaum: the least vertex passes, so the walk runs to its end;
-        # a witness found early in the walk, at the least vertex; and one
-        # found only at the least vertex's own face, in the walk's last level
-        ("join(torus-7,rp2-6)", join(torus_7(), projective_plane_6()), (is_buchsbaum,)),
-        ("join(rp2-6,torus-7)", join(projective_plane_6(), torus_7()), (is_buchsbaum,)),
+        # Buchsbaum, alone and inside classify, which reads it off the same
+        # one walk as its other flags: the least vertex passes, so the walk
+        # runs to its end; a witness found early in the walk, at the least
+        # vertex; and one found only at the least vertex's own face, in the
+        # walk's last level
+        ("join(torus-7,rp2-6)", join(torus_7(), projective_plane_6()), (is_buchsbaum, classify)),
+        ("join(rp2-6,torus-7)", join(projective_plane_6(), torus_7()), (is_buchsbaum, classify)),
         ("wedge(cp7,cp7) + join(torus-7,cp4)",
          disjoint_union(wedge(cross_polytope(7), cross_polytope(7)),
-                        join(torus_7(), cross_polytope(4))), (is_buchsbaum,)),
+                        join(torus_7(), cross_polytope(4))), (is_buchsbaum, classify)),
     ]
     for name, sc, row in rows:
         times = []
